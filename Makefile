@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint soak integrity-smoke obs-smoke bench bench-preprocess bench-kernels bench-serving bench-mutation bench-obs fuzz experiments corpus clean
+.PHONY: all build test perfbench-check race vet lint soak integrity-smoke obs-smoke bench bench-preprocess bench-kernels bench-serving bench-mutation bench-obs fuzz experiments corpus clean
 
 all: build lint test
 
@@ -14,6 +14,11 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# perfbench is its own module (replace repro => ../), so the root
+# `go build ./...` never compiles it — nor the repro API it calls.
+perfbench-check:
+	cd perfbench && $(GO) build ./... && $(GO) vet ./... && $(GO) test ./...
 
 # Required lint: vet plus staticcheck. CI installs staticcheck; locally
 # it is skipped with a notice when absent (no network fetch here).

@@ -127,43 +127,57 @@ func ReadMatrixMarketFile(path string) (*Matrix, error) { return sparse.ReadMTXF
 func WriteMatrixMarket(w io.Writer, m *Matrix) error { return sparse.WriteMTX(w, m) }
 
 // SpMM computes Y = S·X row-wise without any preprocessing (the baseline
-// of Alg 1).
-func SpMM(s *Matrix, x *Dense) (*Dense, error) { return kernels.SpMMRowWise(s, x) }
+// of Alg 1) and returns Y in a newly allocated matrix.
+func SpMM(s *Matrix, x *Dense) (*Dense, error) {
+	return allocInto(dense.New(s.Rows, x.Cols), nil, func(y *Dense) error {
+		return SpMMIntoCtx(context.Background(), y, s, x)
+	})
+}
 
-// SpMMInto computes Y = S·X row-wise into the caller-provided y
-// (S.Rows × X.Cols), overwriting its contents. Steady-state calls
-// perform no heap allocations; combine with GetDense/PutDense to keep a
-// serving loop allocation-free end to end.
-func SpMMInto(y *Dense, s *Matrix, x *Dense) error { return kernels.SpMMRowWiseInto(y, s, x) }
-
-// SpMMIntoCtx is SpMMInto with cooperative cancellation between kernel
-// chunks and panic isolation.
+// SpMMIntoCtx computes Y = S·X row-wise into the caller-provided y
+// (S.Rows × X.Cols), overwriting its contents, with cooperative
+// cancellation between kernel chunks and panic isolation. Steady-state
+// calls perform no heap allocations; combine with GetDense/PutDense to
+// keep a serving loop allocation-free end to end.
 func SpMMIntoCtx(ctx context.Context, y *Dense, s *Matrix, x *Dense) error {
 	return kernels.SpMMRowWiseIntoCtx(ctx, y, s, x)
 }
 
 // SDDMM computes O = S ⊙ (Y·Xᵀ) row-wise without preprocessing (Alg 2):
 // O keeps S's sparsity pattern.
-func SDDMM(s *Matrix, x, y *Dense) (*Matrix, error) { return kernels.SDDMMRowWise(s, x, y) }
-
-// SDDMMInto computes O = S ⊙ (Y·Xᵀ) row-wise into the caller-provided
-// out, which must have S's sparsity structure (e.g. S.Clone(), a
-// previous result, or S itself for in-place value rewriting). Only
-// out.Val is written; steady-state calls perform no heap allocations.
-func SDDMMInto(out, s *Matrix, x, y *Dense) error {
-	return kernels.SDDMMRowWiseInto(out, s, x, y)
+func SDDMM(s *Matrix, x, y *Dense) (*Matrix, error) {
+	return allocInto(s.Clone(), nil, func(out *Matrix) error {
+		return SDDMMIntoCtx(context.Background(), out, s, x, y)
+	})
 }
 
-// SDDMMIntoCtx is SDDMMInto with cooperative cancellation between
-// kernel chunks and panic isolation.
+// SDDMMIntoCtx computes O = S ⊙ (Y·Xᵀ) row-wise into the
+// caller-provided out, which must have S's sparsity structure (e.g.
+// S.Clone(), a previous result, or S itself for in-place value
+// rewriting), with cooperative cancellation between kernel chunks and
+// panic isolation. Only out.Val is written; steady-state calls perform
+// no heap allocations.
 func SDDMMIntoCtx(ctx context.Context, out, s *Matrix, x, y *Dense) error {
 	return kernels.SDDMMRowWiseIntoCtx(ctx, out, s, x, y)
+}
+
+// allocInto is the allocating form of every SpMM/SDDMM entry point: it
+// runs into on the freshly allocated out and returns it, or hands out
+// to release (when non-nil) and returns into's error.
+func allocInto[T any](out *T, release func(*T), into func(*T) error) (*T, error) {
+	if err := into(out); err != nil {
+		if release != nil {
+			release(out)
+		}
+		return nil, err
+	}
+	return out, nil
 }
 
 // GetDense returns a rows×cols scratch matrix from the process-wide
 // pool with unspecified contents (call Zero if needed); return it with
 // PutDense when done. Serving code that reuses outputs through this
-// pool together with the *Into entry points allocates nothing per call
+// pool together with the *IntoCtx entry points allocates nothing per call
 // at steady state.
 func GetDense(rows, cols int) *Dense { return dense.Get(rows, cols) }
 

@@ -2,6 +2,7 @@ package repro_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -56,12 +57,12 @@ func TestIntoAgainstAllocating(t *testing.T) {
 	}
 	y := repro.GetDense(m.Rows, 16)
 	defer repro.PutDense(y)
-	if err := repro.SpMMInto(y, m, x); err != nil {
+	if err := repro.SpMMIntoCtx(context.Background(), y, m, x); err != nil {
 		t.Fatal(err)
 	}
 	for i := range want.Data {
 		if want.Data[i] != y.Data[i] {
-			t.Fatalf("SpMMInto diverges at %d", i)
+			t.Fatalf("SpMMIntoCtx diverges at %d", i)
 		}
 	}
 	p, err := repro.NewPipeline(m, repro.DefaultConfig())
@@ -69,40 +70,40 @@ func TestIntoAgainstAllocating(t *testing.T) {
 		t.Fatal(err)
 	}
 	y2 := repro.NewDense(m.Rows, 16)
-	if err := p.SpMMInto(y2, x); err != nil {
+	if err := p.SpMMIntoCtx(context.Background(), y2, x); err != nil {
 		t.Fatal(err)
 	}
 	for i := range want.Data {
 		if d := math.Abs(float64(want.Data[i] - y2.Data[i])); d > 1e-4 {
-			t.Fatalf("pipeline SpMMInto diverges at %d by %v", i, d)
+			t.Fatalf("pipeline SpMMIntoCtx diverges at %d by %v", i, d)
 		}
 	}
-	if err := p.SpMMInto(repro.NewDense(m.Rows, 15), x); err == nil {
-		t.Fatalf("pipeline SpMMInto accepted wrong shape")
+	if err := p.SpMMIntoCtx(context.Background(), repro.NewDense(m.Rows, 15), x); err == nil {
+		t.Fatalf("pipeline SpMMIntoCtx accepted wrong shape")
 	}
 	wantO, err := repro.SDDMM(m, x, yin)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := m.Clone()
-	if err := repro.SDDMMInto(out, m, x, yin); err != nil {
+	if err := repro.SDDMMIntoCtx(context.Background(), out, m, x, yin); err != nil {
 		t.Fatal(err)
 	}
 	for j := range wantO.Val {
 		if wantO.Val[j] != out.Val[j] {
-			t.Fatalf("SDDMMInto diverges at %d", j)
+			t.Fatalf("SDDMMIntoCtx diverges at %d", j)
 		}
 	}
 	out2 := m.Clone()
-	if err := p.SDDMMInto(out2, x, yin); err != nil {
+	if err := p.SDDMMIntoCtx(context.Background(), out2, x, yin); err != nil {
 		t.Fatal(err)
 	}
 	if !out2.SameStructure(m) {
-		t.Fatalf("pipeline SDDMMInto changed structure")
+		t.Fatalf("pipeline SDDMMIntoCtx changed structure")
 	}
 	for j := range wantO.Val {
 		if d := math.Abs(float64(wantO.Val[j] - out2.Val[j])); d > 1e-4 {
-			t.Fatalf("pipeline SDDMMInto diverges at %d by %v", j, d)
+			t.Fatalf("pipeline SDDMMIntoCtx diverges at %d by %v", j, d)
 		}
 	}
 }

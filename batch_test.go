@@ -85,10 +85,10 @@ func TestOnlinePipelineSpMMBatch(t *testing.T) {
 }
 
 // TestPipelineSpMMPooledOutput pins the pooled-output contract of
-// Pipeline.SpMM/SpMMCtx: the returned matrix may be recycled scratch
+// Pipeline.SpMM: the returned matrix may be recycled scratch
 // with arbitrary prior contents, so the pipeline must fully overwrite
 // it. Seed the pool with a poisoned matrix of exactly the result shape
-// and check the values still match the *Into path.
+// and check the values still match the SpMMIntoCtx path.
 func TestPipelineSpMMPooledOutput(t *testing.T) {
 	m := scrambled(t)
 	p, err := repro.NewPipeline(m, repro.DefaultConfig())
@@ -97,7 +97,7 @@ func TestPipelineSpMMPooledOutput(t *testing.T) {
 	}
 	x := repro.NewRandomDense(m.Cols, 8, 3)
 	want := repro.NewDense(m.Rows, 8)
-	if err := p.SpMMInto(want, x); err != nil {
+	if err := p.SpMMIntoCtx(context.Background(), want, x); err != nil {
 		t.Fatal(err)
 	}
 	poison := repro.GetDense(m.Rows, 8)
@@ -105,7 +105,7 @@ func TestPipelineSpMMPooledOutput(t *testing.T) {
 		poison.Data[i] = float32(math.NaN())
 	}
 	repro.PutDense(poison)
-	y, err := p.SpMMCtx(context.Background(), x)
+	y, err := p.SpMM(x)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,6 +22,7 @@ package repro_test
 // `cmd/experiments` runs the same drivers at full scale.
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -260,7 +261,7 @@ func BenchmarkOnlineSpMMSerialized(b *testing.B) {
 		y := repro.NewDense(o.Pipeline().Matrix().Rows, x.Cols)
 		for pb.Next() {
 			mu.Lock()
-			err := o.SpMMInto(y, x)
+			err := o.SpMMIntoCtx(context.Background(), y, x)
 			mu.Unlock()
 			if err != nil {
 				b.Fatal(err)
@@ -280,7 +281,7 @@ func BenchmarkOnlineSpMMConcurrent(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		y := repro.NewDense(o.Pipeline().Matrix().Rows, x.Cols)
 		for pb.Next() {
-			if err := o.SpMMInto(y, x); err != nil {
+			if err := o.SpMMIntoCtx(context.Background(), y, x); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -14,7 +14,12 @@
 //   - Native parallel SpMM/SDDMM kernels executing either raw CSR
 //     matrices or preprocessed pipelines (results are always returned in
 //     the original row order; the reordering is an internal execution
-//     strategy, exactly as in the paper).
+//     strategy, exactly as in the paper). Every execution layer —
+//     Pipeline, OnlinePipeline, ShardedPipeline, LivePipeline — serves
+//     through the same three methods, SpMMIntoCtx, SDDMMIntoCtx and
+//     SpMMBatchIntoCtx, writing caller-provided outputs with
+//     cancellation and zero steady-state allocations; SpMM and SDDMM
+//     are the allocating conveniences.
 //   - A P100-parameterised GPU memory-hierarchy simulator (Estimate*)
 //     that reports the data movement and roofline time of each execution
 //     strategy — the measurement substrate for the paper's evaluation

@@ -10,6 +10,7 @@ import (
 
 	"repro"
 	"repro/internal/faultinject"
+	"repro/internal/integrity"
 	"repro/internal/testutil"
 )
 
@@ -181,7 +182,7 @@ func TestOnlinePipelineCtxTrialCancelled(t *testing.T) {
 	x := repro.NewRandomDense(m.Cols, 16, 4)
 	ctx, cancel := context.WithCancel(context.Background())
 	restore := faultinject.Set("kernels.exec", func() error { cancel(); return nil })
-	_, err = o.SpMMCtx(ctx, x)
+	err = o.SpMMIntoCtx(ctx, repro.NewDense(m.Rows, x.Cols), x)
 	restore()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled trial = %v, want context.Canceled", err)
@@ -235,7 +236,7 @@ func TestOnlinePipelineCtxConcurrentDegraded(t *testing.T) {
 			defer wg.Done()
 			for iter := 0; iter < 4; iter++ {
 				y := repro.GetDense(m.Rows, x.Cols)
-				if err := o.SpMMInto(y, x); err != nil {
+				if err := o.SpMMIntoCtx(context.Background(), y, x); err != nil {
 					errs[g] = err
 					repro.PutDense(y)
 					return
@@ -327,5 +328,27 @@ func TestOnlinePipelineCtxConstructorCancel(t *testing.T) {
 	x := repro.NewRandomDense(m.Cols, 8, 7)
 	if _, err := o.SpMM(x); err != nil {
 		t.Fatalf("degraded pipeline cannot serve: %v", err)
+	}
+}
+
+// TestPipelineSDDMMRejectsBadOutputBeforeCorruptSite: a request whose
+// output is rejected must not reach the plan-corruption fault site, so
+// it can neither corrupt the plan nor count as an injection.
+func TestPipelineSDDMMRejectsBadOutputBeforeCorruptSite(t *testing.T) {
+	m := freshScrambled(t, 9011)
+	p, err := repro.NewPipeline(m, repro.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := repro.NewRandomDense(m.Cols, 8, 1)
+	y := repro.NewRandomDense(m.Rows, 8, 2)
+	bad := repro.Matrix{Rows: 1, Cols: 1, RowPtr: []int32{0, 0}}
+	before := integrity.InjectedCount()
+	defer faultinject.CorruptAt("integrity.corrupt.plan")()
+	if err := p.SDDMMIntoCtx(context.Background(), &bad, x, y); err == nil {
+		t.Fatal("accepted a structurally different SDDMM output")
+	}
+	if got := integrity.InjectedCount(); got != before {
+		t.Fatalf("rejected SDDMM injected plan corruption (%d -> %d)", before, got)
 	}
 }

@@ -8,6 +8,7 @@
 package als
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -52,7 +53,8 @@ type Model struct {
 type plainEval struct{ s *sparse.CSR }
 
 func (p plainEval) SDDMM(x, y *dense.Matrix) (*sparse.CSR, error) {
-	return kernels.SDDMMRowWise(p.s, x, y)
+	out := p.s.Clone()
+	return out, kernels.SDDMMRowWiseIntoCtx(context.Background(), out, p.s, x, y)
 }
 
 // New initialises a rank-k model with deterministic random factors.

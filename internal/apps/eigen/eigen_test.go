@@ -1,6 +1,7 @@
 package eigen
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -12,7 +13,8 @@ import (
 type plainOp struct{ s *sparse.CSR }
 
 func (o plainOp) SpMM(x *dense.Matrix) (*dense.Matrix, error) {
-	return kernels.SpMMRowWise(o.s, x)
+	y := dense.New(o.s.Rows, x.Cols)
+	return y, kernels.SpMMRowWiseIntoCtx(context.Background(), y, o.s, x)
 }
 
 // diagMatrix builds a diagonal matrix with the given entries.
@@ -97,7 +99,7 @@ func TestResidualSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	av, err := kernels.SpMMRowWise(m, res.Vectors)
+	av, err := plainOp{m}.SpMM(res.Vectors)
 	if err != nil {
 		t.Fatal(err)
 	}

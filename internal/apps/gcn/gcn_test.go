@@ -1,6 +1,7 @@
 package gcn
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -14,7 +15,8 @@ import (
 type plainAgg struct{ s *sparse.CSR }
 
 func (a plainAgg) SpMM(x *dense.Matrix) (*dense.Matrix, error) {
-	return kernels.SpMMRowWise(a.s, x)
+	y := dense.New(a.s.Rows, x.Cols)
+	return y, kernels.SpMMRowWiseIntoCtx(context.Background(), y, a.s, x)
 }
 
 func testGraph(t *testing.T, n int) (SpMMer, SpMMer, *sparse.CSR) {

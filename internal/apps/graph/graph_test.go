@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -12,7 +13,8 @@ import (
 type plainAgg struct{ s *sparse.CSR }
 
 func (a plainAgg) SpMM(x *dense.Matrix) (*dense.Matrix, error) {
-	return kernels.SpMMRowWise(a.s, x)
+	y := dense.New(a.s.Rows, x.Cols)
+	return y, kernels.SpMMRowWiseIntoCtx(context.Background(), y, a.s, x)
 }
 
 // pathGraph builds the undirected path 0-1-2-...-(n-1).

@@ -10,7 +10,7 @@ import (
 // pipeline-level SpMM/SDDMM need a temporary matrix in reordered row
 // space before permuting into the caller's output. Pooling those
 // temporaries (and the kernels' pooled job state) makes a steady-state
-// *Into call allocation-free.
+// *IntoCtx call allocation-free.
 //
 // The pool is capacity-based: Get reuses any pooled matrix whose
 // backing slice is large enough, so serving workloads with a stable

@@ -1,6 +1,7 @@
 package ellpack_test
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -83,8 +84,8 @@ func TestSpMMMatchesCSR(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := dense.NewRandom(m.Cols, 16, 1)
-	want, err := kernels.SpMMRowWise(m, x)
-	if err != nil {
+	want := dense.New(m.Rows, x.Cols)
+	if err := kernels.SpMMRowWiseIntoCtx(context.Background(), want, m, x); err != nil {
 		t.Fatal(err)
 	}
 	got, err := e.SpMM(x)
@@ -205,8 +206,8 @@ func TestPropertyELLRoundTripAndSpMM(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		b, err := kernels.SpMMRowWise(m, x)
-		if err != nil {
+		b := dense.New(m.Rows, x.Cols)
+		if err := kernels.SpMMRowWiseIntoCtx(context.Background(), b, m, x); err != nil {
 			return false
 		}
 		return dense.MaxAbsDiff(a, b) < 1e-4

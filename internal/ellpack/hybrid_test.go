@@ -1,6 +1,7 @@
 package ellpack_test
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -63,8 +64,8 @@ func TestHybridSpMMMatchesCSR(t *testing.T) {
 		t.Fatalf("fixture should spill")
 	}
 	x := dense.NewRandom(m.Cols, 8, 1)
-	want, err := kernels.SpMMRowWise(m, x)
-	if err != nil {
+	want := dense.New(m.Rows, x.Cols)
+	if err := kernels.SpMMRowWiseIntoCtx(context.Background(), want, m, x); err != nil {
 		t.Fatal(err)
 	}
 	got, err := h.SpMM(x)
@@ -145,8 +146,8 @@ func TestPropertyHybrid(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		b, err := kernels.SpMMRowWise(m, x)
-		if err != nil {
+		b := dense.New(m.Rows, x.Cols)
+		if err := kernels.SpMMRowWiseIntoCtx(context.Background(), b, m, x); err != nil {
 			return false
 		}
 		return dense.MaxAbsDiff(a, b) < 1e-3

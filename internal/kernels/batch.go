@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"repro/internal/dense"
-	"repro/internal/sparse"
 )
 
 // BatchOp is one coalesced request: compute Y = S·X for this operand
@@ -36,8 +35,7 @@ type BatchOp struct {
 }
 
 // SpMMPass executes one SpMM into a caller-provided output. Pipeline,
-// OnlinePipeline, and ShardedPipeline all implement it, as does any
-// raw kernel wrapped in a small adapter (see SpMMRowWisePass).
+// OnlinePipeline, ShardedPipeline and LivePipeline all implement it.
 type SpMMPass interface {
 	SpMMIntoCtx(ctx context.Context, y *dense.Matrix, x *dense.Matrix) error
 }
@@ -122,15 +120,3 @@ func checkBatchOp(op BatchOp, i int) error {
 	}
 	return nil
 }
-
-// spmmRowWisePass adapts the raw row-wise kernel to SpMMPass for
-// batching without a pipeline (the no-preprocessing baseline).
-type spmmRowWisePass struct{ s *sparse.CSR }
-
-func (p spmmRowWisePass) SpMMIntoCtx(ctx context.Context, y, x *dense.Matrix) error {
-	return SpMMRowWiseIntoCtx(ctx, y, p.s, x)
-}
-
-// SpMMRowWisePass returns an SpMMPass executing the plain row-wise
-// kernel on s — the batching adapter for unpreprocessed serving.
-func SpMMRowWisePass(s *sparse.CSR) SpMMPass { return spmmRowWisePass{s: s} }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/dense"
+	"repro/internal/sparse"
 	"repro/internal/synth"
 )
 
@@ -17,7 +18,7 @@ func TestSpMMBatchMatchesIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pass := SpMMRowWisePass(m)
+	pass := rowWisePass{m}
 	for _, n := range []int{1, 2, 3, 7} {
 		ops := make([]BatchOp, n)
 		wants := make([]*dense.Matrix, n)
@@ -25,7 +26,7 @@ func TestSpMMBatchMatchesIndependent(t *testing.T) {
 			x := dense.NewRandom(m.Cols, 1+i%3, int64(10*n+i))
 			ops[i] = BatchOp{Y: dense.New(m.Rows, x.Cols), X: x}
 			w := dense.New(m.Rows, x.Cols)
-			if err := SpMMRowWiseInto(w, m, x); err != nil {
+			if err := SpMMRowWiseIntoCtx(context.Background(), w, m, x); err != nil {
 				t.Fatal(err)
 			}
 			wants[i] = w
@@ -48,7 +49,7 @@ func TestSpMMBatchShapeErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pass := SpMMRowWisePass(m)
+	pass := rowWisePass{m}
 	ok := BatchOp{Y: dense.New(64, 2), X: dense.NewRandom(64, 2, 1)}
 	cases := map[string][]BatchOp{
 		"nil-x":        {ok, {Y: dense.New(64, 2)}},
@@ -81,7 +82,7 @@ func TestSpMMBatchCancellation(t *testing.T) {
 		{Y: dense.New(256, 2), X: dense.NewRandom(256, 2, 1)},
 		{Y: dense.New(256, 2), X: dense.NewRandom(256, 2, 2)},
 	}
-	if err := SpMMBatchIntoCtx(ctx, SpMMRowWisePass(m), ops); err != context.Canceled {
+	if err := SpMMBatchIntoCtx(ctx, rowWisePass{m}, ops); err != context.Canceled {
 		t.Fatalf("cancelled batch = %v, want context.Canceled", err)
 	}
 }
@@ -94,7 +95,7 @@ func TestSpMMBatchAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pass := SpMMRowWisePass(m)
+	pass := rowWisePass{m}
 	ops := make([]BatchOp, 4)
 	for i := range ops {
 		ops[i] = BatchOp{Y: dense.New(m.Rows, 2), X: dense.NewRandom(m.Cols, 2, int64(i))}
@@ -106,6 +107,14 @@ func TestSpMMBatchAllocFree(t *testing.T) {
 		}
 	}
 	assertZeroAllocsAfterWarmup(t, "SpMMBatchIntoCtx", call)
+}
+
+// rowWisePass adapts the row-wise kernel to SpMMPass, batching without
+// a pipeline.
+type rowWisePass struct{ s *sparse.CSR }
+
+func (p rowWisePass) SpMMIntoCtx(ctx context.Context, y, x *dense.Matrix) error {
+	return SpMMRowWiseIntoCtx(ctx, y, p.s, x)
 }
 
 // assertZeroAllocsAfterWarmup warms pooled state with a few calls, then

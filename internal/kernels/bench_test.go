@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -35,7 +36,7 @@ func BenchmarkNativeSpMMRowWiseK64(b *testing.B) {
 	b.SetBytes(int64(Flops(m.NNZ(), 64) / 2))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SpMMRowWise(m, x); err != nil {
+		if _, err := newSpMMRowWise(m, x); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -46,7 +47,7 @@ func BenchmarkNativeSpMMASpTK64(b *testing.B) {
 	b.SetBytes(int64(Flops(m.NNZ(), 64) / 2))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SpMMASpT(tl, x); err != nil {
+		if _, err := newSpMMASpT(tl, x); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -57,7 +58,7 @@ func BenchmarkNativeSDDMMRowWiseK64(b *testing.B) {
 	b.SetBytes(int64(Flops(m.NNZ(), 64) / 2))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SDDMMRowWise(m, x, y); err != nil {
+		if _, err := newSDDMMRowWise(m, x, y); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -68,7 +69,7 @@ func BenchmarkNativeSDDMMASpTK64(b *testing.B) {
 	b.SetBytes(int64(Flops(m.NNZ(), 64) / 2))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SDDMMASpT(tl, x, y); err != nil {
+		if _, err := newSDDMMASpT(tl, x, y); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -126,7 +127,7 @@ func BenchmarkSpMMSkewBalanced(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := SpMMRowWiseInto(y, m, x); err != nil {
+		if err := SpMMRowWiseIntoCtx(context.Background(), y, m, x); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -142,7 +143,7 @@ func BenchmarkNativeSpMMRowWiseIntoK64(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := SpMMRowWiseInto(y, m, x); err != nil {
+		if err := SpMMRowWiseIntoCtx(context.Background(), y, m, x); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -155,7 +156,7 @@ func BenchmarkNativeSpMMASpTIntoK64(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := SpMMASpTInto(y, tl, x); err != nil {
+		if err := SpMMASpTIntoCtx(context.Background(), y, tl, x); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -168,7 +169,7 @@ func BenchmarkNativeSDDMMASpTIntoK64(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := SDDMMASpTInto(out, tl, x, y); err != nil {
+		if err := SDDMMASpTIntoCtx(context.Background(), out, tl, x, y); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -187,7 +188,7 @@ func BenchmarkNativeSpMMScaling(b *testing.B) {
 			b.SetBytes(int64(Flops(m.NNZ(), 64) / 2))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := SpMMRowWise(m, x); err != nil {
+				if _, err := newSpMMRowWise(m, x); err != nil {
 					b.Fatal(err)
 				}
 			}

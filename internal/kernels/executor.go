@@ -17,7 +17,7 @@ package kernels
 // Work is dispatched to a fixed pool of long-lived goroutines through a
 // buffered channel, and per-call state lives in pooled job structs, so
 // a steady-state kernel call performs no heap allocations — the
-// property the *Into entry points advertise.
+// property every kernel entry point advertises.
 
 import (
 	"context"
@@ -42,9 +42,8 @@ const chunksPerWorker = 4
 // rowChunk is a half-open row range [lo, hi).
 type rowChunk struct{ lo, hi int }
 
-// job carries one kernel invocation across the worker pool. All
-// operand fields a particular kernel does not use stay nil. Jobs are
-// pooled; reset clears operands but keeps the chunks slice capacity.
+// job carries one kernel invocation across the worker pool. Jobs are
+// pooled; putJob clears operands but keeps the chunks slice capacity.
 type job struct {
 	run    func(j *job, lo, hi int) // a top-level function, never a closure
 	chunks []rowChunk
@@ -57,27 +56,19 @@ type job struct {
 	// fail and flips stop so the remaining chunks are skipped, and
 	// dispatch returns it after the join. All of this costs two atomic
 	// loads per chunk claim on the happy path, so the steady-state
-	// zero-allocation property of the *Into kernels is preserved
+	// zero-allocation property of the kernels is preserved
 	// (failure boxes allocate only on the failure path).
 	ctx  context.Context
 	stop atomic.Bool
 	fail atomic.Pointer[failure]
 
-	// Operands, interpreted by run.
-	csr  *sparse.CSR
-	tile *aspt.Matrix
-	ell  *ellpack.Matrix
-	hyb  *ellpack.Hybrid
-	x    *dense.Matrix
-	y    *dense.Matrix
-	out  []float32 // SDDMM output values
+	operands
 
-	// Attribution state (see metrics.go): attr is the per-kernel
-	// aggregate selected by the entry point (nil disables chunk
-	// timing); chunkNS/chunkMax/chunkCount accumulate per-chunk wall
-	// times across the workers stealing from this job, and the entry
-	// point flushes them via attr.recordPass after a successful
-	// dispatch.
+	// Attribution state (see metrics.go): attr is the kernel's
+	// aggregate, set by exec (nil disables chunk timing);
+	// chunkNS/chunkMax/chunkCount accumulate per-chunk wall times across
+	// the workers stealing from this job, and exec flushes them via
+	// attr.recordPass after a successful dispatch.
 	attr       *kernelAttr
 	chunkNS    atomic.Int64
 	chunkMax   atomic.Int64
@@ -92,6 +83,17 @@ type job struct {
 	mergeChunks []mergeChunk
 	carryRow    []int32
 	carryVal    []float32
+}
+
+// operands are the matrices of one kernel pass, interpreted by the
+// job's run. Fields a particular kernel does not use stay nil.
+type operands struct {
+	csr  *sparse.CSR
+	tile *aspt.Matrix
+	hyb  *ellpack.Hybrid
+	x    *dense.Matrix
+	y    *dense.Matrix
+	out  []float32 // SDDMM output values
 }
 
 // failure boxes the first error of a job (atomic.Pointer needs a
@@ -121,13 +123,7 @@ func getJob() *job { return jobPool.Get().(*job) }
 
 func putJob(j *job) {
 	j.run = nil
-	j.csr = nil
-	j.tile = nil
-	j.ell = nil
-	j.hyb = nil
-	j.x = nil
-	j.y = nil
-	j.out = nil
+	j.operands = operands{}
 	j.chunks = j.chunks[:0]
 	j.mergeChunks = j.mergeChunks[:0]
 	j.next.Store(0)

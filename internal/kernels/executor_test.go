@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -96,7 +97,7 @@ func hubMatrix(t testing.TB) *sparse.CSR {
 func TestSkewedSpMMMatchesNaive(t *testing.T) {
 	m := hubMatrix(t)
 	x := dense.NewRandom(m.Cols, 8, 1)
-	got, err := SpMMRowWise(m, x)
+	got, err := newSpMMRowWise(m, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,22 +139,22 @@ func TestSkewedASpTMatches(t *testing.T) {
 	}
 	x := dense.NewRandom(m.Cols, 8, 2)
 	y := dense.NewRandom(m.Rows, 8, 3)
-	ya, err := SpMMASpT(tl, x)
+	ya, err := newSpMMASpT(tl, x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	yr, err := SpMMRowWise(m, x)
+	yr, err := newSpMMRowWise(m, x)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d := dense.MaxAbsDiff(ya, yr); d > 1e-3 {
 		t.Fatalf("ASpT SpMM differs from row-wise by %v on skewed matrix", d)
 	}
-	oa, err := SDDMMASpT(tl, x, y)
+	oa, err := newSDDMMASpT(tl, x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
-	or, err := SDDMMRowWise(m, x, y)
+	or, err := newSDDMMRowWise(m, x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,9 +169,9 @@ func TestSkewedASpTMatches(t *testing.T) {
 	}
 }
 
-// TestIntoVariantsMatchAllocating checks each *Into kernel against its
-// allocating counterpart, including reuse of the same destination
-// across calls (stale contents must be overwritten).
+// TestIntoVariantsMatchAllocating checks each kernel writing into a
+// reused destination against the same kernel writing into a freshly
+// allocated one: stale contents must be overwritten.
 func TestIntoVariantsMatchAllocating(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	m := randomMatrix(rng, 64, 48, 8)
@@ -183,48 +184,48 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 
 	y := dense.New(m.Rows, 8)
 	y.Fill(123) // stale garbage must not leak into results
-	if err := SpMMRowWiseInto(y, m, x); err != nil {
+	if err := SpMMRowWiseIntoCtx(context.Background(), y, m, x); err != nil {
 		t.Fatal(err)
 	}
-	want, _ := SpMMRowWise(m, x)
+	want, _ := newSpMMRowWise(m, x)
 	if d := dense.MaxAbsDiff(y, want); d != 0 {
-		t.Fatalf("SpMMRowWiseInto differs by %v", d)
+		t.Fatalf("SpMMRowWiseIntoCtx differs by %v", d)
 	}
 
 	y.Fill(-7)
-	if err := SpMMASpTInto(y, tl, x); err != nil {
+	if err := SpMMASpTIntoCtx(context.Background(), y, tl, x); err != nil {
 		t.Fatal(err)
 	}
 	if d := dense.MaxAbsDiff(y, want); d > 1e-4 {
-		t.Fatalf("SpMMASpTInto differs by %v", d)
+		t.Fatalf("SpMMASpTIntoCtx differs by %v", d)
 	}
 
-	wantO, _ := SDDMMRowWise(m, x, yin)
+	wantO, _ := newSDDMMRowWise(m, x, yin)
 	out := m.Clone()
 	for j := range out.Val {
 		out.Val[j] = 99
 	}
-	if err := SDDMMRowWiseInto(out, m, x, yin); err != nil {
+	if err := SDDMMRowWiseIntoCtx(context.Background(), out, m, x, yin); err != nil {
 		t.Fatal(err)
 	}
 	for j := range out.Val {
 		if out.Val[j] != wantO.Val[j] {
-			t.Fatalf("SDDMMRowWiseInto differs at %d", j)
+			t.Fatalf("SDDMMRowWiseIntoCtx differs at %d", j)
 		}
 	}
 	out2 := m.Clone()
-	if err := SDDMMASpTInto(out2, tl, x, yin); err != nil {
+	if err := SDDMMASpTIntoCtx(context.Background(), out2, tl, x, yin); err != nil {
 		t.Fatal(err)
 	}
 	for j := range out2.Val {
 		d := float64(out2.Val[j] - wantO.Val[j])
 		if d > 1e-4 || d < -1e-4 {
-			t.Fatalf("SDDMMASpTInto differs at %d", j)
+			t.Fatalf("SDDMMASpTIntoCtx differs at %d", j)
 		}
 	}
 }
 
-// TestIntoValidation checks the *Into entry points reject bad outputs.
+// TestIntoValidation checks the entry points reject bad outputs.
 func TestIntoValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	m := randomMatrix(rng, 20, 20, 5)
@@ -232,35 +233,35 @@ func TestIntoValidation(t *testing.T) {
 	x := dense.NewRandom(m.Cols, 4, 1)
 	yin := dense.NewRandom(m.Rows, 4, 2)
 
-	if err := SpMMRowWiseInto(dense.New(m.Rows+1, 4), m, x); err == nil {
+	if err := SpMMRowWiseIntoCtx(context.Background(), dense.New(m.Rows+1, 4), m, x); err == nil {
 		t.Fatalf("accepted wrong output rows")
 	}
-	if err := SpMMRowWiseInto(dense.New(m.Rows, 5), m, x); err == nil {
+	if err := SpMMRowWiseIntoCtx(context.Background(), dense.New(m.Rows, 5), m, x); err == nil {
 		t.Fatalf("accepted wrong output cols")
 	}
-	if err := SpMMASpTInto(dense.New(m.Rows, 5), tl, x); err == nil {
+	if err := SpMMASpTIntoCtx(context.Background(), dense.New(m.Rows, 5), tl, x); err == nil {
 		t.Fatalf("ASpT accepted wrong output cols")
 	}
 	other := randomMatrix(rng, 20, 20, 5)
 	if other.SameStructure(m) {
 		t.Skip("random matrices collided")
 	}
-	if err := SDDMMRowWiseInto(other, m, x, yin); err == nil {
+	if err := SDDMMRowWiseIntoCtx(context.Background(), other, m, x, yin); err == nil {
 		t.Fatalf("accepted structurally different SDDMM output")
 	}
-	if err := SDDMMASpTInto(other, tl, x, yin); err == nil {
+	if err := SDDMMASpTIntoCtx(context.Background(), other, tl, x, yin); err == nil {
 		t.Fatalf("ASpT accepted structurally different SDDMM output")
 	}
 	// In-place over the source is explicitly allowed.
 	inPlace := m.Clone()
 	tl2, _ := aspt.Build(inPlace, aspt.DefaultParams())
-	if err := SDDMMASpTInto(inPlace, tl2, x, yin); err != nil {
+	if err := SDDMMASpTIntoCtx(context.Background(), inPlace, tl2, x, yin); err != nil {
 		t.Fatalf("rejected in-place SDDMM: %v", err)
 	}
 }
 
 // TestIntoSteadyStateAllocations checks the zero-allocation contract of
-// the *Into kernels. The bound is lenient (< 2 averaged allocations) to
+// the kernel entry points. The bound is lenient (< 2 averaged allocations) to
 // tolerate a GC emptying the sync.Pools mid-run; the benchmarks report
 // the exact steady-state number (0).
 func TestIntoSteadyStateAllocations(t *testing.T) {
@@ -273,16 +274,16 @@ func TestIntoSteadyStateAllocations(t *testing.T) {
 	y := dense.New(m.Rows, 16)
 	// Warm the job pool and worker pool.
 	for i := 0; i < 3; i++ {
-		if err := SpMMASpTInto(y, tl, x); err != nil {
+		if err := SpMMASpTIntoCtx(context.Background(), y, tl, x); err != nil {
 			t.Fatal(err)
 		}
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if err := SpMMASpTInto(y, tl, x); err != nil {
+		if err := SpMMASpTIntoCtx(context.Background(), y, tl, x); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs >= 2 {
-		t.Fatalf("SpMMASpTInto allocates %v objects per call at steady state, want ~0", allocs)
+		t.Fatalf("SpMMASpTIntoCtx allocates %v objects per call at steady state, want ~0", allocs)
 	}
 }

@@ -1,14 +1,13 @@
 package kernels
 
-// ELL and HYB SpMM on the shared executor. ellpack's own SpMM methods
-// are single-threaded reference loops; these entry points give the
-// formats the same contract as SpMMRowWiseIntoCtx — nnz-balanced
-// chunking over the pooled worker set, cooperative cancellation, panic
-// isolation, obs spans, and zero steady-state allocations — so the
-// pipeline can select them per matrix (see the kernel autotuner in
-// internal/reorder).
+// HYB (ELL + COO spill) SpMM on the shared executor. ellpack's own SpMM
+// methods are single-threaded reference loops; SpMMHybridIntoCtx gives
+// the format the same contract as every other kernel entry point (see
+// the package comment), so the pipeline can select it per matrix (see
+// the kernel autotuner in internal/reorder). A spill-free HYB is plain
+// ELLPACK-R.
 //
-// The ELL kernel walks the slab column-major (slot-major), mirroring
+// The ELL part walks the slab column-major (slot-major), mirroring
 // the coalesced GPU access pattern: within a chunk the slab reads at
 // slot s are contiguous (Cols/Vals[s*rows+lo : s*rows+hi]) while the
 // chunk's output rows stay cache-resident. The HYB kernel runs the ELL
@@ -18,77 +17,23 @@ package kernels
 
 import (
 	"context"
-	"fmt"
-	"time"
 
 	"repro/internal/dense"
 	"repro/internal/ellpack"
-	"repro/internal/obs"
 	"repro/internal/sparse"
 )
 
-func checkELLShapes(e *ellpack.Matrix, x *dense.Matrix) error {
-	if e.NCols != x.Rows {
-		return fmt.Errorf("kernels: SpMM shape mismatch: E is %dx%d, X is %dx%d",
-			e.Rows, e.NCols, x.Rows, x.Cols)
-	}
-	return nil
-}
-
-func checkELLOut(e *ellpack.Matrix, x, y *dense.Matrix) error {
-	if y.Rows != e.Rows || y.Cols != x.Cols {
-		return fmt.Errorf("kernels: SpMM output is %dx%d, want %dx%d",
-			y.Rows, y.Cols, e.Rows, x.Cols)
-	}
-	return nil
-}
-
-// SpMMELL computes Y = E·X from the ELLPACK-R slab. It allocates and
-// returns Y (E.Rows × X.Cols).
-func SpMMELL(e *ellpack.Matrix, x *dense.Matrix) (*dense.Matrix, error) {
-	if err := checkELLShapes(e, x); err != nil {
-		return nil, err
-	}
-	y := dense.New(e.Rows, x.Cols)
-	return y, SpMMELLInto(y, e, x)
-}
-
-// SpMMELLInto computes Y = E·X into the caller-provided y
-// (E.Rows × X.Cols), overwriting its contents. At steady state the call
-// performs no heap allocations.
-func SpMMELLInto(y *dense.Matrix, e *ellpack.Matrix, x *dense.Matrix) error {
-	return SpMMELLIntoCtx(context.Background(), y, e, x)
-}
-
-// SpMMELLIntoCtx is SpMMELLInto with cooperative cancellation between
-// chunks and panic isolation. On error the output contents are
-// unspecified.
-func SpMMELLIntoCtx(ctx context.Context, y *dense.Matrix, e *ellpack.Matrix, x *dense.Matrix) error {
-	if err := checkELLShapes(e, x); err != nil {
+// SpMMHybridIntoCtx computes Y = H·X from the HYB representation into
+// the caller-provided y (H.ELL.Rows × X.Cols), overwriting its contents.
+func SpMMHybridIntoCtx(ctx context.Context, y *dense.Matrix, h *ellpack.Hybrid, x *dense.Matrix) error {
+	if err := checkSpMM(h.ELL.Rows, h.ELL.NCols, x, y); err != nil {
 		return err
 	}
-	if err := checkELLOut(e, x, y); err != nil {
-		return err
-	}
-	start := time.Now()
-	sp := obs.TraceFrom(ctx).StartSpan("kernel_spmm_ell")
-	j := getJob()
-	j.run = runSpMMELL
-	j.ctx = ctx
-	j.attr = attrSpMMELL
-	j.ell, j.x, j.y = e, x, y
-	err := j.dispatch(e.Rows, e.CumWork)
-	if err == nil {
-		attrSpMMELL.recordPass(j, int(e.CumWork(e.Rows)), e.Rows, x.Cols)
-	}
-	putJob(j)
-	sp.End()
-	kernelSpMMELL.ObserveSince(start)
-	return err
+	return exec(ctx, specs[spmmHybrid], operands{hyb: h, x: x, y: y})
 }
 
 func runSpMMELL(j *job, lo, hi int) {
-	e, x, y := j.ell, j.x, j.y
+	e, x, y := j.hyb.ELL, j.x, j.y
 	for i := lo; i < hi; i++ {
 		clear(y.Row(i))
 	}
@@ -107,50 +52,6 @@ func runSpMMELL(j *job, lo, hi int) {
 			}
 		}
 	}
-}
-
-// SpMMHybrid computes Y = H·X from the HYB (ELL + COO spill)
-// representation. It allocates and returns Y (H.ELL.Rows × X.Cols).
-func SpMMHybrid(h *ellpack.Hybrid, x *dense.Matrix) (*dense.Matrix, error) {
-	if err := checkELLShapes(h.ELL, x); err != nil {
-		return nil, err
-	}
-	y := dense.New(h.ELL.Rows, x.Cols)
-	return y, SpMMHybridInto(y, h, x)
-}
-
-// SpMMHybridInto computes Y = H·X into the caller-provided y
-// (H.ELL.Rows × X.Cols), overwriting its contents. At steady state the
-// call performs no heap allocations.
-func SpMMHybridInto(y *dense.Matrix, h *ellpack.Hybrid, x *dense.Matrix) error {
-	return SpMMHybridIntoCtx(context.Background(), y, h, x)
-}
-
-// SpMMHybridIntoCtx is SpMMHybridInto with cooperative cancellation
-// between chunks and panic isolation. On error the output contents are
-// unspecified.
-func SpMMHybridIntoCtx(ctx context.Context, y *dense.Matrix, h *ellpack.Hybrid, x *dense.Matrix) error {
-	if err := checkELLShapes(h.ELL, x); err != nil {
-		return err
-	}
-	if err := checkELLOut(h.ELL, x, y); err != nil {
-		return err
-	}
-	start := time.Now()
-	sp := obs.TraceFrom(ctx).StartSpan("kernel_spmm_hyb")
-	j := getJob()
-	j.run = runSpMMHybrid
-	j.ctx = ctx
-	j.attr = attrSpMMHybrid
-	j.ell, j.hyb, j.x, j.y = h.ELL, h, x, y
-	err := j.dispatch(h.ELL.Rows, h.CumWork)
-	if err == nil {
-		attrSpMMHybrid.recordPass(j, int(h.CumWork(h.ELL.Rows)), h.ELL.Rows, x.Cols)
-	}
-	putJob(j)
-	sp.End()
-	kernelSpMMHybrid.ObserveSince(start)
-	return err
 }
 
 func runSpMMHybrid(j *job, lo, hi int) {

@@ -66,10 +66,25 @@ func edgeMatrices(t *testing.T) map[string]*sparse.CSR {
 	}
 }
 
-// TestKernelsAgreeAcrossCorpus is the cross-kernel property test: ELL,
-// HYB, merge, and row-wise SpMM must produce identical output (within
-// float tolerance) on every synth corpus family and on the edge shapes
-// above.
+// spillFreeHybrid builds m as a HYB whose slab is as wide as its
+// longest row (the quantile-1 width), so nothing spills and the hybrid
+// kernel runs the pure ELL path.
+func spillFreeHybrid(t *testing.T, m *sparse.CSR) *ellpack.Hybrid {
+	t.Helper()
+	h, err := ellpack.FromCSRHybrid(m, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(h.Spill) != 0 {
+		t.Fatalf("quantile-1 HYB spilled %d entries", len(h.Spill))
+	}
+	return h
+}
+
+// TestKernelsAgreeAcrossCorpus is the cross-kernel property test: ELL
+// (a spill-free HYB), HYB, merge, and row-wise SpMM must produce
+// identical output (within float tolerance) on every synth corpus
+// family and on the edge shapes above.
 func TestKernelsAgreeAcrossCorpus(t *testing.T) {
 	mats := edgeMatrices(t)
 	entries, err := synth.Corpus(synth.Options{Scale: 0.1})
@@ -82,22 +97,18 @@ func TestKernelsAgreeAcrossCorpus(t *testing.T) {
 	for name, m := range mats {
 		for _, k := range []int{1, 8} {
 			x := dense.NewRandom(m.Cols, k, 7)
-			want, err := SpMMRowWise(m, x)
+			want, err := newSpMMRowWise(m, x)
 			if err != nil {
 				t.Fatalf("%s: rowwise: %v", name, err)
 			}
 
-			got, err := SpMMMerge(m, x)
+			got, err := newSpMMMerge(m, x)
 			if err != nil {
 				t.Fatalf("%s: merge: %v", name, err)
 			}
 			approxEqual(t, name+"/merge", got, want)
 
-			ell, err := ellpack.FromCSR(m, 0)
-			if err != nil {
-				t.Fatalf("%s: FromCSR: %v", name, err)
-			}
-			got, err = SpMMELL(ell, x)
+			got, err = newSpMMHybrid(spillFreeHybrid(t, m), x)
 			if err != nil {
 				t.Fatalf("%s: ell: %v", name, err)
 			}
@@ -107,7 +118,7 @@ func TestKernelsAgreeAcrossCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: FromCSRHybrid: %v", name, err)
 			}
-			got, err = SpMMHybrid(hyb, x)
+			got, err = newSpMMHybrid(hyb, x)
 			if err != nil {
 				t.Fatalf("%s: hyb: %v", name, err)
 			}
@@ -130,11 +141,11 @@ func TestMergeManyChunksOneRow(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := dense.NewRandom(cols, 8, 3)
-	want, err := SpMMRowWise(m, x)
+	want, err := newSpMMRowWise(m, x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := SpMMMerge(m, x)
+	got, err := newSpMMMerge(m, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,33 +154,23 @@ func TestMergeManyChunksOneRow(t *testing.T) {
 
 func TestFormatShapeErrors(t *testing.T) {
 	m := hubMatrix(t)
-	ell, err := ellpack.FromCSR(m, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	hyb, err := ellpack.FromCSRHybrid(m, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	badX := dense.New(m.Cols+1, 4)
-	if _, err := SpMMMerge(m, badX); err == nil {
+	if _, err := newSpMMMerge(m, badX); err == nil {
 		t.Fatal("merge accepted mismatched X")
 	}
-	if _, err := SpMMELL(ell, badX); err == nil {
-		t.Fatal("ELL accepted mismatched X")
-	}
-	if _, err := SpMMHybrid(hyb, badX); err == nil {
+	if _, err := newSpMMHybrid(hyb, badX); err == nil {
 		t.Fatal("HYB accepted mismatched X")
 	}
 	x := dense.New(m.Cols, 4)
 	badY := dense.New(m.Rows+1, 4)
-	if err := SpMMMergeInto(badY, m, x); err == nil {
+	if err := SpMMMergeIntoCtx(context.Background(), badY, m, x); err == nil {
 		t.Fatal("merge accepted mismatched Y")
 	}
-	if err := SpMMELLInto(badY, ell, x); err == nil {
-		t.Fatal("ELL accepted mismatched Y")
-	}
-	if err := SpMMHybridInto(badY, hyb, x); err == nil {
+	if err := SpMMHybridIntoCtx(context.Background(), badY, hyb, x); err == nil {
 		t.Fatal("HYB accepted mismatched Y")
 	}
 }
@@ -178,10 +179,7 @@ func TestFormatShapeErrors(t *testing.T) {
 // contract to the merge, ELL, and HYB paths.
 func TestNewIntoSteadyStateAllocations(t *testing.T) {
 	m := hubMatrix(t)
-	ell, err := ellpack.FromCSR(m, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ell := spillFreeHybrid(t, m)
 	hyb, err := ellpack.FromCSRHybrid(m, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -189,9 +187,9 @@ func TestNewIntoSteadyStateAllocations(t *testing.T) {
 	x := dense.NewRandom(m.Cols, 16, 1)
 	y := dense.New(m.Rows, 16)
 	for name, call := range map[string]func() error{
-		"merge": func() error { return SpMMMergeInto(y, m, x) },
-		"ell":   func() error { return SpMMELLInto(y, ell, x) },
-		"hyb":   func() error { return SpMMHybridInto(y, hyb, x) },
+		"merge": func() error { return SpMMMergeIntoCtx(context.Background(), y, m, x) },
+		"ell":   func() error { return SpMMHybridIntoCtx(context.Background(), y, ell, x) },
+		"hyb":   func() error { return SpMMHybridIntoCtx(context.Background(), y, hyb, x) },
 	} {
 		for i := 0; i < 3; i++ { // warm the job and worker pools
 			if err := call(); err != nil {
@@ -213,10 +211,7 @@ func TestNewIntoSteadyStateAllocations(t *testing.T) {
 // contract on the merge, ELL, and HYB paths.
 func TestNewKernelHardening(t *testing.T) {
 	m := hubMatrix(t)
-	ell, err := ellpack.FromCSR(m, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ell := spillFreeHybrid(t, m)
 	hyb, err := ellpack.FromCSRHybrid(m, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -225,7 +220,7 @@ func TestNewKernelHardening(t *testing.T) {
 	y := dense.New(m.Rows, 8)
 	calls := map[string]func(context.Context) error{
 		"merge": func(ctx context.Context) error { return SpMMMergeIntoCtx(ctx, y, m, x) },
-		"ell":   func(ctx context.Context) error { return SpMMELLIntoCtx(ctx, y, ell, x) },
+		"ell":   func(ctx context.Context) error { return SpMMHybridIntoCtx(ctx, y, ell, x) },
 		"hyb":   func(ctx context.Context) error { return SpMMHybridIntoCtx(ctx, y, hyb, x) },
 	}
 	for name, call := range calls {

@@ -6,10 +6,17 @@
 // leftover sparse part) and must produce bit-identical structure and
 // numerically equal values.
 //
-// Execution is load-balanced by nonzero count rather than row count (see
-// executor.go), and every kernel has an allocation-free *Into variant
-// that writes a caller-provided output — the building blocks of the
-// zero-allocation serving path exposed by the repro package.
+// There is one entry point per kernel — SpMMRowWiseIntoCtx,
+// SpMMASpTIntoCtx, SpMMMergeIntoCtx, SpMMHybridIntoCtx,
+// SDDMMRowWiseIntoCtx and SDDMMASpTIntoCtx — plus the batched
+// SpMMBatchIntoCtx. Each validates its operands and hands them to exec,
+// which runs the kernel's spec on the shared executor (see executor.go):
+// work is load-balanced by nonzero count, cancellation is observed
+// between chunks, a kernel panic returns as a *par.PanicError, and every
+// pass is traced, timed and attributed. Outputs are caller-provided and
+// a steady-state call performs no heap allocations — the building blocks
+// of the zero-allocation serving path exposed by the repro package. On
+// error the output contents are unspecified.
 package kernels
 
 import (
@@ -24,6 +31,89 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sparse"
 )
+
+// kernelSpec is one executor-backed kernel. Its label names the span
+// kernel_<label>, the spmmrr_kernel_seconds{kernel=<label>} histogram
+// and the attribution aggregate; run loads the kernel's chunk body into
+// the job, dispatches it, and reports the nonzeros the pass processed.
+type kernelSpec struct {
+	label   string
+	run     func(j *job) (nnz int, err error)
+	span    string
+	seconds *obs.Histogram
+	attr    *kernelAttr
+}
+
+func newKernelSpec(label string, run func(j *job) (int, error)) *kernelSpec {
+	return &kernelSpec{
+		label: label,
+		run:   run,
+		span:  "kernel_" + label,
+		seconds: obs.Default().Histogram("spmmrr_kernel_seconds",
+			"Kernel execution latency by kernel variant.",
+			obs.LatencyBuckets(), obs.L("kernel", label)),
+		attr: newKernelAttr(label),
+	}
+}
+
+// Indices into specs, one per kernel entry point.
+const (
+	spmmRowWise = iota
+	spmmASpT
+	spmmMerge
+	spmmHybrid
+	sddmmRowWise
+	sddmmASpT
+)
+
+// specs is the kernel table.
+var specs = [...]*kernelSpec{
+	spmmRowWise: newKernelSpec("spmm_rowwise", func(j *job) (int, error) { return csrRows(j, runSpMMRowWise) }),
+	spmmASpT:    newKernelSpec("spmm_aspt", func(j *job) (int, error) { return tileRows(j, runSpMMASpT) }),
+	spmmMerge:   newKernelSpec("spmm_merge", mergePass),
+	spmmHybrid: newKernelSpec("spmm_hyb", func(j *job) (int, error) {
+		h := j.hyb
+		j.run = runSpMMHybrid
+		return int(h.CumWork(h.ELL.Rows)), j.dispatch(h.ELL.Rows, h.CumWork)
+	}),
+	sddmmRowWise: newKernelSpec("sddmm_rowwise", func(j *job) (int, error) { return csrRows(j, runSDDMMRowWise) }),
+	sddmmASpT:    newKernelSpec("sddmm_aspt", func(j *job) (int, error) { return tileRows(j, runSDDMMASpT) }),
+}
+
+// exec runs one pass of kernel k over ops: span, pooled job, dispatch,
+// attribution flush on success, job return and latency histogram.
+func exec(ctx context.Context, k *kernelSpec, ops operands) error {
+	start := time.Now()
+	sp := obs.TraceFrom(ctx).StartSpan(k.span)
+	j := getJob()
+	j.ctx, j.attr, j.operands = ctx, k.attr, ops
+	nnz, err := k.run(j)
+	if err == nil {
+		// y has one row per matrix row in every kernel: SpMM's output,
+		// SDDMM's left dense operand.
+		k.attr.recordPass(j, nnz, ops.y.Rows, ops.x.Cols)
+	}
+	putJob(j)
+	sp.End()
+	k.seconds.ObserveSince(start)
+	return err
+}
+
+// csrRows dispatches body over the CSR operand's rows, balanced by
+// nonzeros.
+func csrRows(j *job, body func(j *job, lo, hi int)) (int, error) {
+	s := j.csr
+	j.run = body
+	return s.NNZ(), j.dispatch(s.Rows, func(i int) int64 { return int64(s.RowPtr[i]) })
+}
+
+// tileRows dispatches body over the ASpT operand's rows, balanced by
+// each row's combined tile+rest nonzero count.
+func tileRows(j *job, body func(j *job, lo, hi int)) (int, error) {
+	t := j.tile
+	j.run = body
+	return t.Src.NNZ(), j.dispatch(t.Src.Rows, t.CumWork)
+}
 
 // parallelRows runs fn over [0, rows) split into contiguous equal-row
 // chunks across GOMAXPROCS workers — the seed engine, kept as the
@@ -57,64 +147,27 @@ func parallelRows(rows int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-func checkSpMMShapes(s *sparse.CSR, x *dense.Matrix) error {
-	if s.Cols != x.Rows {
+// checkSpMM validates Y = S·X for a rows×cols sparse operand.
+func checkSpMM(rows, cols int, x, y *dense.Matrix) error {
+	if cols != x.Rows {
 		return fmt.Errorf("kernels: SpMM shape mismatch: S is %dx%d, X is %dx%d",
-			s.Rows, s.Cols, x.Rows, x.Cols)
+			rows, cols, x.Rows, x.Cols)
 	}
-	return nil
-}
-
-func checkSpMMOut(s *sparse.CSR, x, y *dense.Matrix) error {
-	if y.Rows != s.Rows || y.Cols != x.Cols {
+	if y.Rows != rows || y.Cols != x.Cols {
 		return fmt.Errorf("kernels: SpMM output is %dx%d, want %dx%d",
-			y.Rows, y.Cols, s.Rows, x.Cols)
+			y.Rows, y.Cols, rows, x.Cols)
 	}
 	return nil
 }
 
-// SpMMRowWise computes Y = S·X with the row-wise algorithm (Alg 1),
-// parallelised over rows. It allocates and returns Y (S.Rows × X.Cols).
-func SpMMRowWise(s *sparse.CSR, x *dense.Matrix) (*dense.Matrix, error) {
-	if err := checkSpMMShapes(s, x); err != nil {
-		return nil, err
-	}
-	y := dense.New(s.Rows, x.Cols)
-	return y, SpMMRowWiseInto(y, s, x)
-}
-
-// SpMMRowWiseInto computes Y = S·X into the caller-provided y
-// (S.Rows × X.Cols), overwriting its contents. At steady state the call
-// performs no heap allocations.
-func SpMMRowWiseInto(y *dense.Matrix, s *sparse.CSR, x *dense.Matrix) error {
-	return SpMMRowWiseIntoCtx(context.Background(), y, s, x)
-}
-
-// SpMMRowWiseIntoCtx is SpMMRowWiseInto with cooperative cancellation
-// between chunks and panic isolation (a kernel panic returns as a
-// *par.PanicError). On error the output contents are unspecified.
+// SpMMRowWiseIntoCtx computes Y = S·X with the row-wise algorithm
+// (Alg 1) into the caller-provided y (S.Rows × X.Cols), overwriting its
+// contents.
 func SpMMRowWiseIntoCtx(ctx context.Context, y *dense.Matrix, s *sparse.CSR, x *dense.Matrix) error {
-	if err := checkSpMMShapes(s, x); err != nil {
+	if err := checkSpMM(s.Rows, s.Cols, x, y); err != nil {
 		return err
 	}
-	if err := checkSpMMOut(s, x, y); err != nil {
-		return err
-	}
-	start := time.Now()
-	sp := obs.TraceFrom(ctx).StartSpan("kernel_spmm_rowwise")
-	j := getJob()
-	j.run = runSpMMRowWise
-	j.ctx = ctx
-	j.attr = attrSpMMRowWise
-	j.csr, j.x, j.y = s, x, y
-	err := j.dispatch(s.Rows, func(i int) int64 { return int64(s.RowPtr[i]) })
-	if err == nil {
-		attrSpMMRowWise.recordPass(j, s.NNZ(), s.Rows, x.Cols)
-	}
-	putJob(j)
-	sp.End()
-	kernelSpMMRowWise.ObserveSince(start)
-	return err
+	return exec(ctx, specs[spmmRowWise], operands{csr: s, x: x, y: y})
 }
 
 func runSpMMRowWise(j *job, lo, hi int) {
@@ -133,51 +186,16 @@ func runSpMMRowWise(j *job, lo, hi int) {
 	}
 }
 
-// SpMMASpT computes Y = S·X from the ASpT representation: dense-tile
-// nonzeros and leftover nonzeros are accumulated separately per row (the
-// two GPU kernels of §2.3), then summed — both traversals write the same
-// output row, so a single pass per row suffices on the CPU.
-func SpMMASpT(t *aspt.Matrix, x *dense.Matrix) (*dense.Matrix, error) {
-	if err := checkSpMMShapes(t.Src, x); err != nil {
-		return nil, err
-	}
-	y := dense.New(t.Src.Rows, x.Cols)
-	return y, SpMMASpTInto(y, t, x)
-}
-
-// SpMMASpTInto computes Y = S·X from the ASpT representation into the
-// caller-provided y, overwriting its contents. Work is balanced by each
-// row's combined tile+rest nonzero count. At steady state the call
-// performs no heap allocations.
-func SpMMASpTInto(y *dense.Matrix, t *aspt.Matrix, x *dense.Matrix) error {
-	return SpMMASpTIntoCtx(context.Background(), y, t, x)
-}
-
-// SpMMASpTIntoCtx is SpMMASpTInto with cooperative cancellation between
-// chunks and panic isolation. On error the output contents are
-// unspecified.
+// SpMMASpTIntoCtx computes Y = S·X from the ASpT representation into
+// the caller-provided y, overwriting its contents: dense-tile nonzeros
+// and leftover nonzeros are accumulated separately per row (the two GPU
+// kernels of §2.3) — both traversals write the same output row, so a
+// single pass per row suffices on the CPU.
 func SpMMASpTIntoCtx(ctx context.Context, y *dense.Matrix, t *aspt.Matrix, x *dense.Matrix) error {
-	if err := checkSpMMShapes(t.Src, x); err != nil {
+	if err := checkSpMM(t.Src.Rows, t.Src.Cols, x, y); err != nil {
 		return err
 	}
-	if err := checkSpMMOut(t.Src, x, y); err != nil {
-		return err
-	}
-	start := time.Now()
-	sp := obs.TraceFrom(ctx).StartSpan("kernel_spmm_aspt")
-	j := getJob()
-	j.run = runSpMMASpT
-	j.ctx = ctx
-	j.attr = attrSpMMASpT
-	j.tile, j.x, j.y = t, x, y
-	err := j.dispatch(t.Src.Rows, t.CumWork)
-	if err == nil {
-		attrSpMMASpT.recordPass(j, t.Src.NNZ(), t.Src.Rows, x.Cols)
-	}
-	putJob(j)
-	sp.End()
-	kernelSpMMASpT.ObserveSince(start)
-	return err
+	return exec(ctx, specs[spmmASpT], operands{tile: t, x: x, y: y})
 }
 
 func runSpMMASpT(j *job, lo, hi int) {
@@ -206,7 +224,10 @@ func runSpMMASpT(j *job, lo, hi int) {
 	}
 }
 
-func checkSDDMMShapes(s *sparse.CSR, x, y *dense.Matrix) error {
+// checkSDDMM validates O = S ⊙ (Y·Xᵀ): the dense operands' shapes, and
+// that out mirrors s's structure. The full pattern comparison is O(nnz)
+// with no allocations — negligible next to the O(nnz·K) kernel.
+func checkSDDMM(out, s *sparse.CSR, x, y *dense.Matrix) error {
 	if x.Cols != y.Cols {
 		return fmt.Errorf("kernels: SDDMM K mismatch: X has %d cols, Y has %d", x.Cols, y.Cols)
 	}
@@ -216,68 +237,23 @@ func checkSDDMMShapes(s *sparse.CSR, x, y *dense.Matrix) error {
 	if x.Rows != s.Cols {
 		return fmt.Errorf("kernels: SDDMM shape mismatch: X has %d rows, S has %d cols", x.Rows, s.Cols)
 	}
-	return nil
-}
-
-// checkSDDMMOut verifies the output matrix mirrors s's structure. The
-// full pattern comparison is O(nnz) with no allocations — negligible
-// next to the O(nnz·K) kernel.
-func checkSDDMMOut(s, out *sparse.CSR) error {
-	if out == s {
-		return nil // writing values in place over the source is allowed
-	}
-	if !out.SameStructure(s) {
+	// Writing values in place over the source is allowed.
+	if out != s && !out.SameStructure(s) {
 		return fmt.Errorf("kernels: SDDMM output structure differs from S (%s vs %s)", out, s)
 	}
 	return nil
 }
 
-// SDDMMRowWise computes O = S ⊙ (Y·Xᵀ) with the row-wise algorithm
-// (Alg 2): O has the sparsity pattern of S, and O[i][c] =
-// S[i][c] · Σ_k Y[i][k]·X[c][k]. The result reuses S's structure with
-// fresh values.
-func SDDMMRowWise(s *sparse.CSR, x, y *dense.Matrix) (*sparse.CSR, error) {
-	if err := checkSDDMMShapes(s, x, y); err != nil {
-		return nil, err
-	}
-	out := s.Clone()
-	return out, SDDMMRowWiseInto(out, s, x, y)
-}
-
-// SDDMMRowWiseInto computes O = S ⊙ (Y·Xᵀ) into the caller-provided
-// out, which must have S's sparsity structure (e.g. S.Clone(), a
-// previous result, or S itself for in-place value rewriting). Only
-// out.Val is written. At steady state the call performs no heap
-// allocations.
-func SDDMMRowWiseInto(out, s *sparse.CSR, x, y *dense.Matrix) error {
-	return SDDMMRowWiseIntoCtx(context.Background(), out, s, x, y)
-}
-
-// SDDMMRowWiseIntoCtx is SDDMMRowWiseInto with cooperative cancellation
-// between chunks and panic isolation. On error the output values are
-// unspecified.
+// SDDMMRowWiseIntoCtx computes O = S ⊙ (Y·Xᵀ) with the row-wise
+// algorithm (Alg 2), O[i][c] = S[i][c] · Σ_k Y[i][k]·X[c][k], into the
+// caller-provided out, which must have S's sparsity structure (e.g.
+// S.Clone(), a previous result, or S itself for in-place value
+// rewriting). Only out.Val is written.
 func SDDMMRowWiseIntoCtx(ctx context.Context, out, s *sparse.CSR, x, y *dense.Matrix) error {
-	if err := checkSDDMMShapes(s, x, y); err != nil {
+	if err := checkSDDMM(out, s, x, y); err != nil {
 		return err
 	}
-	if err := checkSDDMMOut(s, out); err != nil {
-		return err
-	}
-	start := time.Now()
-	sp := obs.TraceFrom(ctx).StartSpan("kernel_sddmm_rowwise")
-	j := getJob()
-	j.run = runSDDMMRowWise
-	j.ctx = ctx
-	j.attr = attrSDDMMRowWise
-	j.csr, j.x, j.y, j.out = s, x, y, out.Val
-	err := j.dispatch(s.Rows, func(i int) int64 { return int64(s.RowPtr[i]) })
-	if err == nil {
-		attrSDDMMRowWise.recordPass(j, s.NNZ(), s.Rows, x.Cols)
-	}
-	putJob(j)
-	sp.End()
-	kernelSDDMMRowWise.ObserveSince(start)
-	return err
+	return exec(ctx, specs[sddmmRowWise], operands{csr: s, x: x, y: y, out: out.Val})
 }
 
 func runSDDMMRowWise(j *job, lo, hi int) {
@@ -298,51 +274,16 @@ func runSDDMMRowWise(j *job, lo, hi int) {
 	}
 }
 
-// SDDMMASpT computes SDDMM from the ASpT representation. The output keeps
-// the *source* matrix's CSR structure (ASpT preserves CSR compatibility,
-// one of its selling points); tile and rest nonzeros are scattered back to
-// their source positions.
-func SDDMMASpT(t *aspt.Matrix, x, y *dense.Matrix) (*sparse.CSR, error) {
-	if err := checkSDDMMShapes(t.Src, x, y); err != nil {
-		return nil, err
-	}
-	out := t.Src.Clone()
-	return out, SDDMMASpTInto(out, t, x, y)
-}
-
-// SDDMMASpTInto computes SDDMM from the ASpT representation into the
-// caller-provided out, which must have the source matrix's structure.
-// Only out.Val is written. At steady state the call performs no heap
-// allocations.
-func SDDMMASpTInto(out *sparse.CSR, t *aspt.Matrix, x, y *dense.Matrix) error {
-	return SDDMMASpTIntoCtx(context.Background(), out, t, x, y)
-}
-
-// SDDMMASpTIntoCtx is SDDMMASpTInto with cooperative cancellation
-// between chunks and panic isolation. On error the output values are
-// unspecified.
+// SDDMMASpTIntoCtx computes SDDMM from the ASpT representation into the
+// caller-provided out, which must have the *source* matrix's CSR
+// structure (ASpT preserves CSR compatibility, one of its selling
+// points): tile and rest nonzeros are scattered back to their source
+// positions. Only out.Val is written.
 func SDDMMASpTIntoCtx(ctx context.Context, out *sparse.CSR, t *aspt.Matrix, x, y *dense.Matrix) error {
-	if err := checkSDDMMShapes(t.Src, x, y); err != nil {
+	if err := checkSDDMM(out, t.Src, x, y); err != nil {
 		return err
 	}
-	if err := checkSDDMMOut(t.Src, out); err != nil {
-		return err
-	}
-	start := time.Now()
-	sp := obs.TraceFrom(ctx).StartSpan("kernel_sddmm_aspt")
-	j := getJob()
-	j.run = runSDDMMASpT
-	j.ctx = ctx
-	j.attr = attrSDDMMASpT
-	j.tile, j.x, j.y, j.out = t, x, y, out.Val
-	err := j.dispatch(t.Src.Rows, t.CumWork)
-	if err == nil {
-		attrSDDMMASpT.recordPass(j, t.Src.NNZ(), t.Src.Rows, x.Cols)
-	}
-	putJob(j)
-	sp.End()
-	kernelSDDMMASpT.ObserveSince(start)
-	return err
+	return exec(ctx, specs[sddmmASpT], operands{tile: t, x: x, y: y, out: out.Val})
 }
 
 func runSDDMMASpT(j *job, lo, hi int) {

@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,6 +9,7 @@ import (
 
 	"repro/internal/aspt"
 	"repro/internal/dense"
+	"repro/internal/ellpack"
 	"repro/internal/paperex"
 	"repro/internal/sparse"
 )
@@ -74,7 +76,7 @@ func randomMatrix(rng *rand.Rand, rows, cols, maxPerRow int) *sparse.CSR {
 func TestSpMMPaperExample(t *testing.T) {
 	m := paperex.Matrix()
 	x := dense.NewRandom(m.Cols, 8, 1)
-	y, err := SpMMRowWise(m, x)
+	y, err := newSpMMRowWise(m, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,14 +89,14 @@ func TestSpMMPaperExample(t *testing.T) {
 func TestSpMMShapeErrors(t *testing.T) {
 	m := paperex.Matrix() // 6x6
 	x := dense.New(5, 4)  // wrong inner dimension
-	if _, err := SpMMRowWise(m, x); err == nil {
+	if _, err := newSpMMRowWise(m, x); err == nil {
 		t.Fatalf("accepted shape mismatch")
 	}
 	tl, err := aspt.Build(m, aspt.DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SpMMASpT(tl, x); err == nil {
+	if _, err := newSpMMASpT(tl, x); err == nil {
 		t.Fatalf("ASpT accepted shape mismatch")
 	}
 }
@@ -102,20 +104,20 @@ func TestSpMMShapeErrors(t *testing.T) {
 func TestSDDMMShapeErrors(t *testing.T) {
 	m := paperex.Matrix() // 6x6
 	okX, okY := dense.New(6, 4), dense.New(6, 4)
-	if _, err := SDDMMRowWise(m, okX, okY); err != nil {
+	if _, err := newSDDMMRowWise(m, okX, okY); err != nil {
 		t.Fatalf("rejected valid shapes: %v", err)
 	}
-	if _, err := SDDMMRowWise(m, dense.New(6, 4), dense.New(6, 5)); err == nil {
+	if _, err := newSDDMMRowWise(m, dense.New(6, 4), dense.New(6, 5)); err == nil {
 		t.Fatalf("accepted K mismatch")
 	}
-	if _, err := SDDMMRowWise(m, dense.New(5, 4), okY); err == nil {
+	if _, err := newSDDMMRowWise(m, dense.New(5, 4), okY); err == nil {
 		t.Fatalf("accepted X row mismatch")
 	}
-	if _, err := SDDMMRowWise(m, okX, dense.New(5, 4)); err == nil {
+	if _, err := newSDDMMRowWise(m, okX, dense.New(5, 4)); err == nil {
 		t.Fatalf("accepted Y row mismatch")
 	}
 	tl, _ := aspt.Build(m, aspt.DefaultParams())
-	if _, err := SDDMMASpT(tl, dense.New(5, 4), okY); err == nil {
+	if _, err := newSDDMMASpT(tl, dense.New(5, 4), okY); err == nil {
 		t.Fatalf("ASpT SDDMM accepted shape mismatch")
 	}
 }
@@ -123,7 +125,7 @@ func TestSDDMMShapeErrors(t *testing.T) {
 func TestSpMMEmptyMatrix(t *testing.T) {
 	m := &sparse.CSR{Rows: 3, Cols: 4, RowPtr: []int32{0, 0, 0, 0}}
 	x := dense.NewRandom(4, 5, 2)
-	y, err := SpMMRowWise(m, x)
+	y, err := newSpMMRowWise(m, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +148,7 @@ func TestSDDMMScalesByValues(t *testing.T) {
 	x.Set(1, 0, 7)
 	y := dense.New(1, 1)
 	y.Set(0, 0, 1)
-	out, err := SDDMMRowWise(m, x, y)
+	out, err := newSDDMMRowWise(m, x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +169,7 @@ func TestPropertySpMMMatchesNaive(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		m := randomMatrix(rng, 1+rng.Intn(30), 1+rng.Intn(20), 6)
 		x := dense.NewRandom(m.Cols, 1+rng.Intn(16), seed)
-		y, err := SpMMRowWise(m, x)
+		y, err := newSpMMRowWise(m, x)
 		if err != nil {
 			return false
 		}
@@ -189,11 +191,11 @@ func TestPropertySpMMASpTEquivalent(t *testing.T) {
 			return false
 		}
 		x := dense.NewRandom(m.Cols, 1+rng.Intn(12), seed)
-		ya, err := SpMMASpT(tl, x)
+		ya, err := newSpMMASpT(tl, x)
 		if err != nil {
 			return false
 		}
-		yr, err := SpMMRowWise(m, x)
+		yr, err := newSpMMRowWise(m, x)
 		if err != nil {
 			return false
 		}
@@ -218,11 +220,11 @@ func TestPropertySDDMMASpTEquivalent(t *testing.T) {
 		k := 1 + rng.Intn(12)
 		x := dense.NewRandom(m.Cols, k, seed)
 		y := dense.NewRandom(m.Rows, k, seed+1)
-		oa, err := SDDMMASpT(tl, x, y)
+		oa, err := newSDDMMASpT(tl, x, y)
 		if err != nil {
 			return false
 		}
-		or, err := SDDMMRowWise(m, x, y)
+		or, err := newSDDMMRowWise(m, x, y)
 		if err != nil {
 			return false
 		}
@@ -249,7 +251,7 @@ func TestPropertySDDMMMatchesNaive(t *testing.T) {
 		k := 1 + rng.Intn(10)
 		x := dense.NewRandom(m.Cols, k, seed)
 		y := dense.NewRandom(m.Rows, k, seed+1)
-		got, err := SDDMMRowWise(m, x, y)
+		got, err := newSDDMMRowWise(m, x, y)
 		if err != nil {
 			return false
 		}
@@ -272,7 +274,7 @@ func TestPropertySpMMLinearity(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		m := randomMatrix(rng, 1+rng.Intn(20), 1+rng.Intn(20), 5)
 		x := dense.NewRandom(m.Cols, 4, seed)
-		y1, err := SpMMRowWise(m, x)
+		y1, err := newSpMMRowWise(m, x)
 		if err != nil {
 			return false
 		}
@@ -280,7 +282,7 @@ func TestPropertySpMMLinearity(t *testing.T) {
 		for j := range m2.Val {
 			m2.Val[j] *= 2
 		}
-		y2, err := SpMMRowWise(m2, x)
+		y2, err := newSpMMRowWise(m2, x)
 		if err != nil {
 			return false
 		}
@@ -294,4 +296,37 @@ func TestPropertySpMMLinearity(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Allocating conveniences over the entry points: each runs the kernel
+// into a freshly allocated output under a background context.
+
+func newSpMMRowWise(s *sparse.CSR, x *dense.Matrix) (*dense.Matrix, error) {
+	y := dense.New(s.Rows, x.Cols)
+	return y, SpMMRowWiseIntoCtx(context.Background(), y, s, x)
+}
+
+func newSpMMMerge(s *sparse.CSR, x *dense.Matrix) (*dense.Matrix, error) {
+	y := dense.New(s.Rows, x.Cols)
+	return y, SpMMMergeIntoCtx(context.Background(), y, s, x)
+}
+
+func newSpMMHybrid(h *ellpack.Hybrid, x *dense.Matrix) (*dense.Matrix, error) {
+	y := dense.New(h.ELL.Rows, x.Cols)
+	return y, SpMMHybridIntoCtx(context.Background(), y, h, x)
+}
+
+func newSpMMASpT(t *aspt.Matrix, x *dense.Matrix) (*dense.Matrix, error) {
+	y := dense.New(t.Src.Rows, x.Cols)
+	return y, SpMMASpTIntoCtx(context.Background(), y, t, x)
+}
+
+func newSDDMMRowWise(s *sparse.CSR, x, y *dense.Matrix) (*sparse.CSR, error) {
+	out := s.Clone()
+	return out, SDDMMRowWiseIntoCtx(context.Background(), out, s, x, y)
+}
+
+func newSDDMMASpT(t *aspt.Matrix, x, y *dense.Matrix) (*sparse.CSR, error) {
+	out := t.Src.Clone()
+	return out, SDDMMASpTIntoCtx(context.Background(), out, t, x, y)
 }

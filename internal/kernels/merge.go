@@ -29,10 +29,8 @@ package kernels
 import (
 	"context"
 	"runtime"
-	"time"
 
 	"repro/internal/dense"
-	"repro/internal/obs"
 	"repro/internal/sparse"
 )
 
@@ -45,61 +43,33 @@ type mergeChunk struct {
 	zLo, zHi int
 }
 
-// SpMMMerge computes Y = S·X with the merge-based (nonzero-split)
-// kernel. It allocates and returns Y (S.Rows × X.Cols).
-func SpMMMerge(s *sparse.CSR, x *dense.Matrix) (*dense.Matrix, error) {
-	if err := checkSpMMShapes(s, x); err != nil {
-		return nil, err
-	}
-	y := dense.New(s.Rows, x.Cols)
-	return y, SpMMMergeInto(y, s, x)
-}
-
-// SpMMMergeInto computes Y = S·X into the caller-provided y
-// (S.Rows × X.Cols), overwriting its contents. At steady state the call
-// performs no heap allocations.
-func SpMMMergeInto(y *dense.Matrix, s *sparse.CSR, x *dense.Matrix) error {
-	return SpMMMergeIntoCtx(context.Background(), y, s, x)
-}
-
-// SpMMMergeIntoCtx is SpMMMergeInto with cooperative cancellation
-// between chunks and panic isolation (a kernel panic returns as a
-// *par.PanicError). On error the output contents are unspecified.
+// SpMMMergeIntoCtx computes Y = S·X with the merge-based
+// (nonzero-split) kernel into the caller-provided y (S.Rows × X.Cols),
+// overwriting its contents.
 func SpMMMergeIntoCtx(ctx context.Context, y *dense.Matrix, s *sparse.CSR, x *dense.Matrix) error {
-	if err := checkSpMMShapes(s, x); err != nil {
+	if err := checkSpMM(s.Rows, s.Cols, x, y); err != nil {
 		return err
 	}
-	if err := checkSpMMOut(s, x, y); err != nil {
-		return err
-	}
-	start := time.Now()
-	sp := obs.TraceFrom(ctx).StartSpan("kernel_spmm_merge")
-	j := getJob()
-	j.ctx = ctx
-	j.attr = attrSpMMMerge
-	j.csr, j.x, j.y = s, x, y
-	var err error
-	if s.NNZ() == 0 {
+	return exec(ctx, specs[spmmMerge], operands{csr: s, x: x, y: y})
+}
+
+// mergePass is the merge kernel's run function: slice [0, nnz), dispatch
+// the slices, then fold the carried head fragments back in.
+func mergePass(j *job) (int, error) {
+	nnz := j.csr.NNZ()
+	if nnz == 0 {
 		// Nothing to split on: the row-wise kernel degenerates to a
 		// parallel clear of every output row, which is exactly the answer.
-		j.run = runSpMMRowWise
-		err = j.dispatch(s.Rows, func(int) int64 { return 0 })
-	} else {
-		j.run = runSpMMMerge
-		workers := mergeWorkers(s.NNZ())
-		buildMergeChunks(j, workers*chunksPerWorker)
-		err = j.dispatchChunks(workers)
-		if err == nil {
-			mergeFixup(j)
-		}
+		return csrRows(j, runSpMMRowWise)
 	}
-	if err == nil {
-		attrSpMMMerge.recordPass(j, s.NNZ(), s.Rows, x.Cols)
+	j.run = runSpMMMerge
+	workers := mergeWorkers(nnz)
+	buildMergeChunks(j, workers*chunksPerWorker)
+	if err := j.dispatchChunks(workers); err != nil {
+		return 0, err
 	}
-	putJob(j)
-	sp.End()
-	kernelSpMMMerge.ObserveSince(start)
-	return err
+	mergeFixup(j)
+	return nnz, nil
 }
 
 // mergeWorkers bounds dispatch width by available parallelism and the

@@ -9,31 +9,10 @@ import (
 
 // Kernel metrics live in the process-wide registry and are created once
 // at init: the hot path only touches pre-registered histograms, whose
-// Observe is lock-free and allocation-free, preserving the *Into
-// kernels' zero-allocation guarantee.
+// Observe is lock-free and allocation-free, preserving the kernels'
+// zero-allocation guarantee. Each kernel's latency histogram and
+// attribution aggregate are registered with its spec (kernels.go).
 var (
-	kernelSpMMRowWise = obs.Default().Histogram("spmmrr_kernel_seconds",
-		"Kernel execution latency by kernel variant.",
-		obs.LatencyBuckets(), obs.L("kernel", "spmm_rowwise"))
-	kernelSpMMASpT = obs.Default().Histogram("spmmrr_kernel_seconds",
-		"Kernel execution latency by kernel variant.",
-		obs.LatencyBuckets(), obs.L("kernel", "spmm_aspt"))
-	kernelSpMMMerge = obs.Default().Histogram("spmmrr_kernel_seconds",
-		"Kernel execution latency by kernel variant.",
-		obs.LatencyBuckets(), obs.L("kernel", "spmm_merge"))
-	kernelSpMMELL = obs.Default().Histogram("spmmrr_kernel_seconds",
-		"Kernel execution latency by kernel variant.",
-		obs.LatencyBuckets(), obs.L("kernel", "spmm_ell"))
-	kernelSpMMHybrid = obs.Default().Histogram("spmmrr_kernel_seconds",
-		"Kernel execution latency by kernel variant.",
-		obs.LatencyBuckets(), obs.L("kernel", "spmm_hyb"))
-	kernelSDDMMRowWise = obs.Default().Histogram("spmmrr_kernel_seconds",
-		"Kernel execution latency by kernel variant.",
-		obs.LatencyBuckets(), obs.L("kernel", "sddmm_rowwise"))
-	kernelSDDMMASpT = obs.Default().Histogram("spmmrr_kernel_seconds",
-		"Kernel execution latency by kernel variant.",
-		obs.LatencyBuckets(), obs.L("kernel", "sddmm_aspt"))
-
 	kernelSpMMBatch = obs.Default().Histogram("spmmrr_kernel_seconds",
 		"Kernel execution latency by kernel variant.",
 		obs.LatencyBuckets(), obs.L("kernel", "spmm_batch"))
@@ -57,13 +36,12 @@ var (
 
 // ---- Per-kernel performance attribution ----
 //
-// Each executor-backed kernel owns a kernelAttr aggregate: the chunked
-// executor feeds it per-chunk wall times while a pass runs, and the
-// entry point flushes pass totals (nnz processed, flops, modeled bytes,
+// Each kernel spec owns a kernelAttr aggregate: the chunked executor
+// feeds it per-chunk wall times while a pass runs, and exec flushes
+// pass totals (nnz processed, flops, modeled bytes,
 // busy time) on success. Everything on the recording side is a
 // pre-registered histogram Observe or an atomic add — lock-free and
-// allocation-free, preserving the *Into kernels' zero-allocation
-// contract. Derived rates (GFLOP/s, GB/s) are computed at scrape time
+// allocation-free, preserving the kernels' zero-allocation contract. Derived rates (GFLOP/s, GB/s) are computed at scrape time
 // by func-backed collectors.
 
 // attrBytes models the effective memory traffic of one SpMM/SDDMM
@@ -145,8 +123,8 @@ func (a *kernelAttr) gbps() float64 {
 }
 
 // recordPass flushes one completed pass from the job's chunk
-// accumulators into the aggregate: entry points call it after a
-// successful dispatch, before the job returns to the pool. Atomic adds
+// accumulators into the aggregate: exec calls it after a successful
+// dispatch, before the job returns to the pool. Atomic adds
 // only — no allocations.
 func (a *kernelAttr) recordPass(j *job, nnz, rows, k int) {
 	n := j.chunkCount.Load()
@@ -164,19 +142,6 @@ func (a *kernelAttr) recordPass(j *job, nnz, rows, k int) {
 	a.flops.Add(int64(Flops(nnz, k)))
 	a.bytes.Add(attrBytes(nnz, rows, k))
 }
-
-// Per-kernel attribution aggregates, one per executor-backed kernel
-// label. The batched pass is attributed through the kernel it
-// delegates to.
-var (
-	attrSpMMRowWise  = newKernelAttr("spmm_rowwise")
-	attrSpMMASpT     = newKernelAttr("spmm_aspt")
-	attrSpMMMerge    = newKernelAttr("spmm_merge")
-	attrSpMMELL      = newKernelAttr("spmm_ell")
-	attrSpMMHybrid   = newKernelAttr("spmm_hyb")
-	attrSDDMMRowWise = newKernelAttr("sddmm_rowwise")
-	attrSDDMMASpT    = newKernelAttr("sddmm_aspt")
-)
 
 // AttributionSummary is one kernel's realized-performance aggregate,
 // as served by /debug/explain.

@@ -13,7 +13,7 @@
 //     Histogram.Observe is a branchless shard pick, an inlined binary
 //     search, and three atomic ops on a padded shard. Trace recording
 //     is nil-safe, so un-traced paths (the zero-allocation kernel
-//     *Into entry points under context.Background) pay only a context
+//     entry points under an un-traced context) pay only a context
 //     value lookup.
 //  2. Exposition can never disagree with programmatic snapshots: the
 //     serving layers register the very counter objects they increment

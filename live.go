@@ -809,24 +809,6 @@ func (l *LivePipeline) SpMMIntoCtx(ctx context.Context, y *Dense, x *Dense) erro
 	return l.state.Load().spmmInto(ctx, y, x, false)
 }
 
-// SpMMInto is SpMMIntoCtx without cancellation.
-func (l *LivePipeline) SpMMInto(y *Dense, x *Dense) error {
-	return l.SpMMIntoCtx(context.Background(), y, x)
-}
-
-// SpMMCtx is the allocating form of SpMMIntoCtx; the output comes from
-// the process-wide dense pool (return with PutDense), sized for the
-// epoch the call pinned.
-func (l *LivePipeline) SpMMCtx(ctx context.Context, x *Dense) (*Dense, error) {
-	st := l.state.Load()
-	y := dense.Get(st.cur.Rows, x.Cols)
-	if err := st.spmmInto(ctx, y, x, false); err != nil {
-		dense.Put(y)
-		return nil, err
-	}
-	return y, nil
-}
-
 // spmmNRIntoCtx serves the breaker's no-reorder fallback with the same
 // overlay merge — a mutated tenant's fallback must not resurrect
 // pre-mutation data or shapes.
@@ -996,17 +978,6 @@ func (st *liveState) spmmInto(ctx context.Context, y *Dense, x *Dense, nrOnly bo
 // must have the current fused matrix's structure.
 func (l *LivePipeline) SDDMMIntoCtx(ctx context.Context, out *Matrix, x, y *Dense) error {
 	return l.state.Load().sddmmInto(ctx, out, x, y, false)
-}
-
-// SDDMMCtx is the allocating form of SDDMMIntoCtx; the output clones
-// the fused matrix's structure at the epoch the call pinned.
-func (l *LivePipeline) SDDMMCtx(ctx context.Context, x, y *Dense) (*Matrix, error) {
-	st := l.state.Load()
-	out := st.cur.Clone()
-	if err := st.sddmmInto(ctx, out, x, y, false); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // sddmmNRIntoCtx is the breaker-fallback SDDMM with the overlay merge.

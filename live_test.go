@@ -214,8 +214,8 @@ func assertLiveMatchesModel(t *testing.T, l *repro.LivePipeline, mo *liveModel, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	outS, err := l.SDDMMCtx(ctx, xs, ys)
-	if err != nil {
+	outS := l.Matrix().Clone()
+	if err := l.SDDMMIntoCtx(ctx, outS, xs, ys); err != nil {
 		t.Fatalf("live SDDMM: %v", err)
 	}
 	for i := range wantS.Val {

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/dense"
 	"repro/internal/kernels"
 	"repro/internal/obs"
 	"repro/internal/par"
@@ -306,42 +307,22 @@ func (o *OnlinePipeline) Kernel() Kernel {
 // SpMM computes Y = S·X. The first call with both plans ready runs the
 // trial and keeps the faster plan; later calls use the winner
 // lock-free. While the reordered plan is still building in the
-// background, calls serve the no-reorder plan immediately.
+// background, calls serve the no-reorder plan immediately. The output
+// comes from the dense scratch pool (see Pipeline.SpMM).
 func (o *OnlinePipeline) SpMM(x *Dense) (*Dense, error) {
-	return o.SpMMCtx(context.Background(), x)
+	return allocInto(dense.Get(o.Matrix().Rows, x.Cols), dense.Put, func(y *Dense) error {
+		return o.SpMMIntoCtx(context.Background(), y, x)
+	})
 }
 
-// SpMMCtx is SpMM with cooperative cancellation between kernel chunks
-// and panic isolation. A call cancelled mid-trial returns ctx's error
-// without publishing a winner; a later call re-runs the trial.
-func (o *OnlinePipeline) SpMMCtx(ctx context.Context, x *Dense) (*Dense, error) {
-	if w := o.winner.Load(); w != nil {
-		start := time.Now()
-		y, err := w.SpMMCtx(ctx, x)
-		if err == nil {
-			o.observeServe(time.Since(start), x.Cols)
-		}
-		return y, err
-	}
-	rr := o.rr.Load()
-	if rr == nil {
-		// Reordered plan not ready: serve the no-reorder plan now
-		// rather than blocking the caller on preprocessing.
-		return o.nr.SpMMCtx(ctx, x)
-	}
-	return o.trialSpMM(ctx, rr, x)
-}
-
-// SpMMInto is the allocation-free form of SpMM: once decided (or while
-// degraded / still building) it delegates to a plan's SpMMInto without
-// locking or allocating. (The deciding call itself still allocates for
-// the trial runs.)
-func (o *OnlinePipeline) SpMMInto(y *Dense, x *Dense) error {
-	return o.SpMMIntoCtx(context.Background(), y, x)
-}
-
-// SpMMIntoCtx is SpMMInto with cooperative cancellation between kernel
-// chunks and panic isolation.
+// SpMMIntoCtx computes Y = S·X into the caller-provided y with
+// cooperative cancellation between kernel chunks and panic isolation.
+// Once decided (or while degraded / still building) it delegates to a
+// plan's SpMMIntoCtx without locking or allocating; the deciding call
+// itself allocates for the trial runs. A call cancelled mid-trial
+// returns ctx's error without publishing a winner; a later call re-runs
+// the trial. y is checked before the trial, so a malformed request
+// never decides it.
 func (o *OnlinePipeline) SpMMIntoCtx(ctx context.Context, y *Dense, x *Dense) error {
 	if w := o.winner.Load(); w != nil {
 		start := time.Now()
@@ -353,57 +334,29 @@ func (o *OnlinePipeline) SpMMIntoCtx(ctx context.Context, y *Dense, x *Dense) er
 	}
 	rr := o.rr.Load()
 	if rr == nil {
+		// Reordered plan not ready: serve the no-reorder plan now
+		// rather than blocking the caller on preprocessing.
 		return o.nr.SpMMIntoCtx(ctx, y, x)
 	}
-	res, err := o.trialSpMM(ctx, rr, x)
-	if err != nil {
+	if err := checkSpMMOut(o.Matrix(), y, x); err != nil {
 		return err
 	}
-	if y.Rows != res.Rows || y.Cols != res.Cols {
-		return o.winner.Load().SpMMIntoCtx(ctx, y, x) // reuses the shape check
-	}
-	copy(y.Data, res.Data)
-	return nil
-}
-
-// trialSpMM runs the §4 trial under the decision lock: warm-up both
-// plans untimed (so neither eats the cold-cache penalty the other is
-// measured without), then time one run of each, and publish the winner.
-// The result returned to the caller is the winner's, so the loser's
-// discarded output is never what the caller observes. Any error —
-// including ctx's cancellation mid-flight — aborts the trial without
-// publishing a winner.
-func (o *OnlinePipeline) trialSpMM(ctx context.Context, rr *Pipeline, x *Dense) (*Dense, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if w := o.winner.Load(); w != nil {
 		// Another goroutine decided while this one waited on the lock.
-		return w.SpMMCtx(ctx, x)
+		return w.SpMMIntoCtx(ctx, y, x)
 	}
-	// Untimed warm-up of each plan (touches the operands and primes the
-	// kernels' pooled state for both).
-	if _, err := rr.SpMMCtx(ctx, x); err != nil {
-		return nil, err
-	}
-	if _, err := o.nr.SpMMCtx(ctx, x); err != nil {
-		return nil, err
-	}
-	t0 := time.Now()
-	yRR, err := rr.SpMMCtx(ctx, x)
+	res, err := trial(o, rr, x.Cols, func(p *Pipeline) (*Dense, error) {
+		return allocInto(dense.Get(y.Rows, y.Cols), dense.Put, func(dst *Dense) error {
+			return p.SpMMIntoCtx(ctx, dst, x)
+		})
+	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	rrTime := time.Since(t0)
-	t0 = time.Now()
-	yNR, err := o.nr.SpMMCtx(ctx, x)
-	if err != nil {
-		return nil, err
-	}
-	nrTime := time.Since(t0)
-	if o.decide(rr, rrTime, nrTime, x.Cols) == rr {
-		return yRR, nil
-	}
-	return yNR, nil
+	copy(y.Data, res.Data)
+	return nil
 }
 
 // SpMMBatchIntoCtx computes every op's Y = S·X in one batched kernel
@@ -421,30 +374,14 @@ func (o *OnlinePipeline) SpMMBatchIntoCtx(ctx context.Context, ops []BatchOp) er
 // same lock-free decided path, and the same serve-NR-while-building
 // behaviour.
 func (o *OnlinePipeline) SDDMM(x, y *Dense) (*Matrix, error) {
-	return o.SDDMMCtx(context.Background(), x, y)
+	return allocInto(o.Matrix().Clone(), nil, func(out *Matrix) error {
+		return o.SDDMMIntoCtx(context.Background(), out, x, y)
+	})
 }
 
-// SDDMMCtx is SDDMM with cooperative cancellation between kernel chunks
-// and panic isolation.
-func (o *OnlinePipeline) SDDMMCtx(ctx context.Context, x, y *Dense) (*Matrix, error) {
-	if w := o.winner.Load(); w != nil {
-		return w.SDDMMCtx(ctx, x, y)
-	}
-	rr := o.rr.Load()
-	if rr == nil {
-		return o.nr.SDDMMCtx(ctx, x, y)
-	}
-	return o.trialSDDMM(ctx, rr, x, y)
-}
-
-// SDDMMInto is the allocation-free form of SDDMM; out must have the
-// matrix's sparsity structure.
-func (o *OnlinePipeline) SDDMMInto(out *Matrix, x, y *Dense) error {
-	return o.SDDMMIntoCtx(context.Background(), out, x, y)
-}
-
-// SDDMMIntoCtx is SDDMMInto with cooperative cancellation between
-// kernel chunks and panic isolation.
+// SDDMMIntoCtx computes O = S ⊙ (Y·Xᵀ) into out, which must have the
+// matrix's sparsity structure, with the trial and cancellation
+// behaviour of SpMMIntoCtx. out is checked before the trial.
 func (o *OnlinePipeline) SDDMMIntoCtx(ctx context.Context, out *Matrix, x, y *Dense) error {
 	if w := o.winner.Load(); w != nil {
 		return w.SDDMMIntoCtx(ctx, out, x, y)
@@ -453,45 +390,56 @@ func (o *OnlinePipeline) SDDMMIntoCtx(ctx context.Context, out *Matrix, x, y *De
 	if rr == nil {
 		return o.nr.SDDMMIntoCtx(ctx, out, x, y)
 	}
-	res, err := o.trialSDDMM(ctx, rr, x, y)
-	if err != nil {
+	if err := checkSDDMMOut(o.Matrix(), out); err != nil {
 		return err
 	}
-	if !out.SameStructure(res) {
-		return o.winner.Load().SDDMMIntoCtx(ctx, out, x, y) // reuses the structure check
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if w := o.winner.Load(); w != nil {
+		return w.SDDMMIntoCtx(ctx, out, x, y)
+	}
+	res, err := trial(o, rr, x.Cols, func(p *Pipeline) (*Matrix, error) {
+		return allocInto(p.Matrix().Clone(), nil, func(dst *Matrix) error {
+			return p.SDDMMIntoCtx(ctx, dst, x, y)
+		})
+	})
+	if err != nil {
+		return err
 	}
 	copy(out.Val, res.Val)
 	return nil
 }
 
-func (o *OnlinePipeline) trialSDDMM(ctx context.Context, rr *Pipeline, x, y *Dense) (*Matrix, error) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if w := o.winner.Load(); w != nil {
-		return w.SDDMMCtx(ctx, x, y)
-	}
-	if _, err := rr.SDDMMCtx(ctx, x, y); err != nil {
+// trial runs the §4 trial; the caller holds o.mu. It warms up both
+// plans untimed (so neither eats the cold-cache penalty the other is
+// measured without), then times one run of each, publishes the winner,
+// and returns the winner's output, so the loser's discarded output is
+// never what the caller observes. Any error — including ctx's
+// cancellation mid-flight — aborts the trial without publishing a
+// winner.
+func trial[T any](o *OnlinePipeline, rr *Pipeline, k int, run func(p *Pipeline) (*T, error)) (*T, error) {
+	if _, err := run(rr); err != nil {
 		return nil, err
 	}
-	if _, err := o.nr.SDDMMCtx(ctx, x, y); err != nil {
+	if _, err := run(o.nr); err != nil {
 		return nil, err
 	}
 	t0 := time.Now()
-	oRR, err := rr.SDDMMCtx(ctx, x, y)
+	outRR, err := run(rr)
 	if err != nil {
 		return nil, err
 	}
 	rrTime := time.Since(t0)
 	t0 = time.Now()
-	oNR, err := o.nr.SDDMMCtx(ctx, x, y)
+	outNR, err := run(o.nr)
 	if err != nil {
 		return nil, err
 	}
 	nrTime := time.Since(t0)
-	if o.decide(rr, rrTime, nrTime, x.Cols) == rr {
-		return oRR, nil
+	if o.decide(rr, rrTime, nrTime, k) == rr {
+		return outRR, nil
 	}
-	return oNR, nil
+	return outNR, nil
 }
 
 // reskin rebuilds this online pipeline for a matrix with the *same

@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"context"
 	"errors"
 	"math"
 	"sync"
@@ -99,7 +100,7 @@ func TestOnlinePipelineConcurrentUndecided(t *testing.T) {
 }
 
 // TestOnlinePipelineConcurrentDecided checks the lock-free fast path:
-// once decided, ≥8 goroutines call SpMM (and SpMMInto) concurrently and
+// once decided, ≥8 goroutines call SpMM (and SpMMIntoCtx) concurrently and
 // repeatedly; all results must be correct and no state may race.
 func TestOnlinePipelineConcurrentDecided(t *testing.T) {
 	m := scrambled(t)
@@ -133,7 +134,7 @@ func TestOnlinePipelineConcurrentDecided(t *testing.T) {
 				if c%2 == 0 {
 					got, err = o.SpMM(x)
 				} else {
-					err = o.SpMMInto(y, x)
+					err = o.SpMMIntoCtx(context.Background(), y, x)
 					got = y
 				}
 				if err != nil {
@@ -171,21 +172,21 @@ func TestOnlinePipelineIntoVariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	y := repro.NewDense(m.Rows, 8)
-	if err := o.SpMMInto(y, x); err != nil { // undecided path decides
+	if err := o.SpMMIntoCtx(context.Background(), y, x); err != nil { // undecided path decides
 		t.Fatal(err)
 	}
 	if done, _ := o.Decided(); !done {
-		t.Fatalf("SpMMInto did not decide")
+		t.Fatalf("SpMMIntoCtx did not decide")
 	}
 	for i := range want.Data {
 		if math.Abs(float64(want.Data[i]-y.Data[i])) > 1e-4 {
-			t.Fatalf("trial SpMMInto diverges at %d", i)
+			t.Fatalf("trial SpMMIntoCtx diverges at %d", i)
 		}
 	}
-	if err := o.SpMMInto(y, x); err != nil { // decided path
+	if err := o.SpMMIntoCtx(context.Background(), y, x); err != nil { // decided path
 		t.Fatal(err)
 	}
-	if err := o.SpMMInto(repro.NewDense(m.Rows+1, 8), x); err == nil {
+	if err := o.SpMMIntoCtx(context.Background(), repro.NewDense(m.Rows+1, 8), x); err == nil {
 		t.Fatalf("accepted wrong-shaped output")
 	}
 	wantO, err := repro.SDDMM(m, x, yin)
@@ -193,16 +194,16 @@ func TestOnlinePipelineIntoVariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := m.Clone()
-	if err := o.SDDMMInto(out, x, yin); err != nil {
+	if err := o.SDDMMIntoCtx(context.Background(), out, x, yin); err != nil {
 		t.Fatal(err)
 	}
 	for j := range wantO.Val {
 		if math.Abs(float64(wantO.Val[j]-out.Val[j])) > 1e-4 {
-			t.Fatalf("SDDMMInto diverges at %d", j)
+			t.Fatalf("SDDMMIntoCtx diverges at %d", j)
 		}
 	}
 	bad := repro.Matrix{Rows: 1, Cols: 1, RowPtr: []int32{0, 0}}
-	if err := o.SDDMMInto(&bad, x, yin); err == nil {
+	if err := o.SDDMMIntoCtx(context.Background(), &bad, x, yin); err == nil {
 		t.Fatalf("accepted structurally different SDDMM output")
 	}
 }
@@ -237,5 +238,35 @@ func TestOnlinePipelineSDDMM(t *testing.T) {
 	// Second call goes through the winner path.
 	if _, err := o.SDDMM(x, y); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOnlinePipelineRejectsBadOutputBeforeTrial: on an undecided
+// pipeline a malformed output is rejected before the trial, so the
+// request neither runs four kernel passes under the decision lock nor
+// publishes a winner.
+func TestOnlinePipelineRejectsBadOutputBeforeTrial(t *testing.T) {
+	m := scrambled(t)
+	x := repro.NewRandomDense(m.Cols, 8, 4)
+	yin := repro.NewRandomDense(m.Rows, 8, 5)
+	bad := repro.Matrix{Rows: 1, Cols: 1, RowPtr: []int32{0, 0}}
+	for name, call := range map[string]func(*repro.OnlinePipeline) error{
+		"spmm-wrong-shape": func(o *repro.OnlinePipeline) error {
+			return o.SpMMIntoCtx(context.Background(), repro.NewDense(m.Rows+1, 8), x)
+		},
+		"sddmm-wrong-structure": func(o *repro.OnlinePipeline) error {
+			return o.SDDMMIntoCtx(context.Background(), &bad, x, yin)
+		},
+	} {
+		o, err := repro.NewOnlinePipeline(m, repro.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := call(o); err == nil {
+			t.Fatalf("%s: accepted a malformed output", name)
+		}
+		if done, _ := o.Decided(); done {
+			t.Fatalf("%s: a rejected request decided the trial", name)
+		}
 	}
 }

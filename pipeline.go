@@ -24,7 +24,7 @@ import (
 // Pipeline is a drop-in replacement for the plain kernels.
 //
 // A Pipeline is immutable after construction and safe for concurrent
-// use; the *Into variants additionally perform no heap allocations at
+// use; the *IntoCtx methods additionally perform no heap allocations at
 // steady state.
 type Pipeline struct {
 	orig *Matrix
@@ -126,25 +126,9 @@ func (p *Pipeline) Kernel() Kernel { return p.plan.Kernel }
 // serving loop that hands results back with PutDense when done recycles
 // them instead of allocating per call.
 func (p *Pipeline) SpMM(x *Dense) (*Dense, error) {
-	y := dense.Get(p.orig.Rows, x.Cols)
-	if err := p.SpMMInto(y, x); err != nil {
-		dense.Put(y)
-		return nil, err
-	}
-	return y, nil
-}
-
-// SpMMCtx is SpMM with cooperative cancellation between kernel chunks
-// and panic isolation (a kernel panic returns as an error instead of
-// crashing the process). Like SpMM, the output is pooled scratch —
-// return it with PutDense to keep the loop allocation-free.
-func (p *Pipeline) SpMMCtx(ctx context.Context, x *Dense) (*Dense, error) {
-	y := dense.Get(p.orig.Rows, x.Cols)
-	if err := p.SpMMIntoCtx(ctx, y, x); err != nil {
-		dense.Put(y)
-		return nil, err
-	}
-	return y, nil
+	return allocInto(dense.Get(p.orig.Rows, x.Cols), dense.Put, func(y *Dense) error {
+		return p.SpMMIntoCtx(context.Background(), y, x)
+	})
 }
 
 // SpMMBatchIntoCtx computes every op's Y = S·X in a single batched
@@ -157,14 +141,6 @@ func (p *Pipeline) SpMMCtx(ctx context.Context, x *Dense) (*Dense, error) {
 // calls perform no heap allocations.
 func (p *Pipeline) SpMMBatchIntoCtx(ctx context.Context, ops []BatchOp) error {
 	return kernels.SpMMBatchIntoCtx(ctx, p, ops)
-}
-
-// SpMMInto computes Y = S·X into the caller-provided y
-// (S.Rows × X.Cols), overwriting its contents; rows come back in the
-// original order. The reordered intermediate lives in pooled scratch,
-// so a steady-state call performs no heap allocations.
-func (p *Pipeline) SpMMInto(y *Dense, x *Dense) error {
-	return p.SpMMIntoCtx(context.Background(), y, x)
 }
 
 // fireCorruptPlan is the "integrity.corrupt.plan" fault site: when a
@@ -218,12 +194,15 @@ func (p *Pipeline) fireCorruptPlan() {
 	}
 }
 
-// SpMMIntoCtx is SpMMInto with cooperative cancellation between kernel
-// chunks and panic isolation. On error y's contents are unspecified.
+// SpMMIntoCtx computes Y = S·X into the caller-provided y
+// (S.Rows × X.Cols), overwriting its contents; rows come back in the
+// original order. Cancellation is observed between kernel chunks and a
+// kernel panic returns as an error; on error y's contents are
+// unspecified. The reordered intermediate lives in pooled scratch, so a
+// steady-state call performs no heap allocations.
 func (p *Pipeline) SpMMIntoCtx(ctx context.Context, y *Dense, x *Dense) error {
-	if y.Rows != p.orig.Rows || y.Cols != x.Cols {
-		return fmt.Errorf("repro: SpMMInto output is %dx%d, want %dx%d",
-			y.Rows, y.Cols, p.orig.Rows, x.Cols)
+	if err := checkSpMMOut(p.orig, y, x); err != nil {
+		return err
 	}
 	p.fireCorruptPlan()
 	yre := dense.Get(p.orig.Rows, x.Cols)
@@ -262,41 +241,23 @@ func (p *Pipeline) SpMMIntoCtx(ctx context.Context, y *Dense, x *Dense) error {
 // SDDMM computes O = S ⊙ (Y·Xᵀ) using the tiled execution; O has the
 // original matrix's structure.
 func (p *Pipeline) SDDMM(x, y *Dense) (*Matrix, error) {
-	out := p.orig.Clone()
-	if err := p.SDDMMInto(out, x, y); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return allocInto(p.orig.Clone(), nil, func(out *Matrix) error {
+		return p.SDDMMIntoCtx(context.Background(), out, x, y)
+	})
 }
 
-// SDDMMCtx is SDDMM with cooperative cancellation between kernel chunks
-// and panic isolation.
-func (p *Pipeline) SDDMMCtx(ctx context.Context, x, y *Dense) (*Matrix, error) {
-	out := p.orig.Clone()
-	if err := p.SDDMMIntoCtx(ctx, out, x, y); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// SDDMMInto computes O = S ⊙ (Y·Xᵀ) into the caller-provided out, which
-// must have the original matrix's sparsity structure (e.g. a Clone of
-// it, a previous SDDMM result, or the matrix itself for in-place value
-// rewriting). Only out.Val is written. Steady-state calls perform no
-// heap allocations.
-func (p *Pipeline) SDDMMInto(out *Matrix, x, y *Dense) error {
-	return p.SDDMMIntoCtx(context.Background(), out, x, y)
-}
-
-// SDDMMIntoCtx is SDDMMInto with cooperative cancellation between
-// kernel chunks and panic isolation. On error out.Val's contents are
-// unspecified.
+// SDDMMIntoCtx computes O = S ⊙ (Y·Xᵀ) into the caller-provided out,
+// which must have the original matrix's sparsity structure (e.g. a
+// Clone of it, a previous SDDMM result, or the matrix itself for
+// in-place value rewriting). Only out.Val is written. Cancellation is
+// observed between kernel chunks and a kernel panic returns as an
+// error; on error out.Val's contents are unspecified. Steady-state
+// calls perform no heap allocations.
 func (p *Pipeline) SDDMMIntoCtx(ctx context.Context, out *Matrix, x, y *Dense) error {
-	p.fireCorruptPlan()
-	if out != p.orig && !out.SameStructure(p.orig) {
-		return fmt.Errorf("repro: SDDMMInto output structure differs from the matrix (%s vs %s)",
-			out, p.orig)
+	if err := checkSDDMMOut(p.orig, out); err != nil {
+		return err
 	}
+	p.fireCorruptPlan()
 	// The tiled matrix's rows are a permutation of the original's; feed
 	// the kernel the permuted Y and scatter values back.
 	tr := obs.TraceFrom(ctx)
@@ -323,6 +284,25 @@ func (p *Pipeline) SDDMMIntoCtx(ctx context.Context, out *Matrix, x, y *Dense) e
 			ore.Val[re.RowPtr[i]:re.RowPtr[i+1]])
 	}
 	sp.End()
+	return nil
+}
+
+// checkSpMMOut validates a caller-provided SpMM output against m.
+func checkSpMMOut(m *Matrix, y, x *Dense) error {
+	if y.Rows != m.Rows || y.Cols != x.Cols {
+		return fmt.Errorf("repro: SpMM output is %dx%d, want %dx%d",
+			y.Rows, y.Cols, m.Rows, x.Cols)
+	}
+	return nil
+}
+
+// checkSDDMMOut validates a caller-provided SDDMM output against m: it
+// must be m itself (in-place) or share m's structure.
+func checkSDDMMOut(m, out *Matrix) error {
+	if out != m && !out.SameStructure(m) {
+		return fmt.Errorf("repro: SDDMM output structure differs from the matrix (%s vs %s)",
+			out, m)
+	}
 	return nil
 }
 

@@ -996,32 +996,16 @@ func (s *Server) preprocessed() bool {
 // combined width; each caller still pays its own admission weight and
 // keeps its own deadline.
 func (s *Server) SpMM(ctx context.Context, x *Dense) (*Dense, error) {
-	return s.spmmTenant(ctx, s.def, x)
-}
-
-// SpMMTenant is SpMM against the tenant registered under id.
-func (s *Server) SpMMTenant(ctx context.Context, id string, x *Dense) (*Dense, error) {
-	t, err := s.tenantByID(id)
-	if err != nil {
-		return nil, err
-	}
-	return s.spmmTenant(ctx, t, x)
-}
-
-func (s *Server) spmmTenant(ctx context.Context, t *tenant, x *Dense) (*Dense, error) {
-	y := dense.Get(t.live.Matrix().Rows, x.Cols)
-	err := s.do(ctx, t, "spmm", s.reqSpMM, int64(x.Cols), func(ctx context.Context, mode serveMode) error {
-		return s.runSpMM(ctx, t, mode, y, x)
+	t := s.def
+	return allocInto(dense.Get(t.live.Matrix().Rows, x.Cols), dense.Put, func(y *Dense) error {
+		return s.do(ctx, t, "spmm", s.reqSpMM, int64(x.Cols), func(ctx context.Context, mode serveMode) error {
+			return s.runSpMM(ctx, t, mode, y, x)
+		})
 	})
-	if err != nil {
-		dense.Put(y)
-		return nil, err
-	}
-	return y, nil
 }
 
 // SpMMInto is SpMM into a caller-provided output (see
-// Pipeline.SpMMInto); steady-state calls stay allocation-free when
+// Pipeline.SpMMIntoCtx); steady-state calls stay allocation-free when
 // coalescing is off (a coalesced pass allocates only per batch, in
 // pooled scratch).
 func (s *Server) SpMMInto(ctx context.Context, y *Dense, x *Dense) error {
@@ -1183,14 +1167,11 @@ func (s *Server) onMismatch(t *tenant, gen uint64, cause error) error {
 // against the live matrix's current structure.
 func (s *Server) SDDMM(ctx context.Context, x, y *Dense) (*Matrix, error) {
 	t := s.def
-	out := t.live.Matrix().Clone()
-	err := s.do(ctx, t, "sddmm", s.reqSDDMM, int64(x.Cols), func(ctx context.Context, mode serveMode) error {
-		return s.runSDDMM(ctx, t, mode, out, x, y)
+	return allocInto(t.live.Matrix().Clone(), nil, func(out *Matrix) error {
+		return s.do(ctx, t, "sddmm", s.reqSDDMM, int64(x.Cols), func(ctx context.Context, mode serveMode) error {
+			return s.runSDDMM(ctx, t, mode, out, x, y)
+		})
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // SDDMMInto is SDDMM into a caller-provided output with the matrix's

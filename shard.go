@@ -209,22 +209,9 @@ func (s *ShardedPipeline) putViews(v *shardViews) {
 // row order, from the process-wide dense scratch pool (see
 // Pipeline.SpMM for the PutDense recycling contract).
 func (s *ShardedPipeline) SpMM(x *Dense) (*Dense, error) {
-	return s.SpMMCtx(context.Background(), x)
-}
-
-// SpMMCtx is SpMM with cooperative cancellation and panic isolation.
-func (s *ShardedPipeline) SpMMCtx(ctx context.Context, x *Dense) (*Dense, error) {
-	y := dense.Get(s.orig.Rows, x.Cols)
-	if err := s.SpMMIntoCtx(ctx, y, x); err != nil {
-		dense.Put(y)
-		return nil, err
-	}
-	return y, nil
-}
-
-// SpMMInto computes Y = S·X into the caller-provided y.
-func (s *ShardedPipeline) SpMMInto(y *Dense, x *Dense) error {
-	return s.SpMMIntoCtx(context.Background(), y, x)
+	return allocInto(dense.Get(s.orig.Rows, x.Cols), dense.Put, func(y *Dense) error {
+		return s.SpMMIntoCtx(context.Background(), y, x)
+	})
 }
 
 // SpMMIntoCtx computes Y = S·X with every panel running concurrently,
@@ -234,9 +221,8 @@ func (s *ShardedPipeline) SpMMInto(y *Dense, x *Dense) error {
 // error y's contents are unspecified, as with Pipeline). Cancellation
 // is observed between kernel chunks inside every panel.
 func (s *ShardedPipeline) SpMMIntoCtx(ctx context.Context, y *Dense, x *Dense) error {
-	if y.Rows != s.orig.Rows || y.Cols != x.Cols {
-		return fmt.Errorf("repro: SpMMInto output is %dx%d, want %dx%d",
-			y.Rows, y.Cols, s.orig.Rows, x.Cols)
+	if err := checkSpMMOut(s.orig, y, x); err != nil {
+		return err
 	}
 	v := s.views.Get().(*shardViews)
 	defer s.putViews(v)
@@ -261,33 +247,20 @@ func (s *ShardedPipeline) SpMMBatchIntoCtx(ctx context.Context, ops []BatchOp) e
 // SDDMM computes O = S ⊙ (Y·Xᵀ) across all panels; O has the original
 // matrix's structure.
 func (s *ShardedPipeline) SDDMM(x, y *Dense) (*Matrix, error) {
-	return s.SDDMMCtx(context.Background(), x, y)
+	return allocInto(s.orig.Clone(), nil, func(out *Matrix) error {
+		return s.SDDMMIntoCtx(context.Background(), out, x, y)
+	})
 }
 
-// SDDMMCtx is SDDMM with cooperative cancellation and panic isolation.
-func (s *ShardedPipeline) SDDMMCtx(ctx context.Context, x, y *Dense) (*Matrix, error) {
-	out := s.orig.Clone()
-	if err := s.SDDMMIntoCtx(ctx, out, x, y); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// SDDMMInto computes O = S ⊙ (Y·Xᵀ) into out, which must have the
-// original matrix's sparsity structure; only out.Val is written.
-func (s *ShardedPipeline) SDDMMInto(out *Matrix, x, y *Dense) error {
-	return s.SDDMMIntoCtx(context.Background(), out, x, y)
-}
-
-// SDDMMIntoCtx runs SDDMM panel-parallel: each panel computes its rows
-// through a CSR view sharing the panel's structure arrays whose Val
-// window is the corresponding segment of out.Val, and a dense view of
-// the matching Y rows. Like SpMM, panel outputs are disjoint by
-// construction.
+// SDDMMIntoCtx computes O = S ⊙ (Y·Xᵀ) into out, which must have the
+// original matrix's sparsity structure; only out.Val is written. It
+// runs panel-parallel: each panel computes its rows through a CSR view
+// sharing the panel's structure arrays whose Val window is the
+// corresponding segment of out.Val, and a dense view of the matching Y
+// rows. Like SpMM, panel outputs are disjoint by construction.
 func (s *ShardedPipeline) SDDMMIntoCtx(ctx context.Context, out *Matrix, x, y *Dense) error {
-	if out != s.orig && !out.SameStructure(s.orig) {
-		return fmt.Errorf("repro: SDDMMInto output structure differs from the matrix (%s vs %s)",
-			out, s.orig)
+	if err := checkSDDMMOut(s.orig, out); err != nil {
+		return err
 	}
 	if y.Rows != s.orig.Rows {
 		return fmt.Errorf("repro: SDDMM y has %d rows, want %d", y.Rows, s.orig.Rows)

@@ -47,11 +47,11 @@ func TestShardedBitIdenticalAcrossCorpus(t *testing.T) {
 			}
 			x := repro.NewRandomDense(m.Cols, 8, 99)
 			want := repro.NewDense(m.Rows, 8)
-			if err := p.SpMMInto(want, x); err != nil {
+			if err := p.SpMMIntoCtx(context.Background(), want, x); err != nil {
 				t.Fatal(err)
 			}
 			got := repro.NewDense(m.Rows, 8)
-			if err := sp.SpMMInto(got, x); err != nil {
+			if err := sp.SpMMIntoCtx(context.Background(), got, x); err != nil {
 				t.Fatal(err)
 			}
 			for i := range want.Data {
@@ -64,11 +64,11 @@ func TestShardedBitIdenticalAcrossCorpus(t *testing.T) {
 			// segment rather than row range, so check it too.
 			yd := repro.NewRandomDense(m.Rows, 8, 100)
 			wantO := m.Clone()
-			if err := p.SDDMMInto(wantO, x, yd); err != nil {
+			if err := p.SDDMMIntoCtx(context.Background(), wantO, x, yd); err != nil {
 				t.Fatal(err)
 			}
 			gotO := m.Clone()
-			if err := sp.SDDMMInto(gotO, x, yd); err != nil {
+			if err := sp.SDDMMIntoCtx(context.Background(), gotO, x, yd); err != nil {
 				t.Fatal(err)
 			}
 			for j := range wantO.Val {
@@ -101,7 +101,7 @@ func TestShardedAutotunedWithinTolerance(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := repro.NewDense(m.Rows, 8)
-		if err := sp.SpMMInto(got, x); err != nil {
+		if err := sp.SpMMIntoCtx(context.Background(), got, x); err != nil {
 			t.Fatal(err)
 		}
 		for i := range want.Data {
@@ -176,7 +176,7 @@ func TestShardedCancelledMidFlight(t *testing.T) {
 	}
 	x := repro.NewRandomDense(m.Cols, 16, 3)
 	want := repro.NewDense(m.Rows, 16)
-	if err := p.SpMMInto(want, x); err != nil {
+	if err := p.SpMMIntoCtx(context.Background(), want, x); err != nil {
 		t.Fatal(err)
 	}
 	y := repro.NewDense(m.Rows, 16)
@@ -208,7 +208,7 @@ func TestShardedCancelledMidFlight(t *testing.T) {
 	t.Logf("%d/20 racing calls observed the cancel", cancelled.Load())
 
 	// The pipeline must serve a clean call bit-identically afterwards.
-	if err := sp.SpMMInto(y, x); err != nil {
+	if err := sp.SpMMIntoCtx(context.Background(), y, x); err != nil {
 		t.Fatal(err)
 	}
 	for i := range want.Data {
