@@ -44,10 +44,11 @@ func TestPipelineSpMMBatchMatchesInto(t *testing.T) {
 	}
 }
 
-// TestOnlinePipelineSpMMBatch runs a batch through an undecided online
-// pipeline: the single pass at the combined width must run the §4 trial
-// like any other first call, decide, and still scatter each operand's
-// columns back correctly.
+// TestOnlinePipelineSpMMBatch runs a batch through a freshly built
+// online pipeline: the construction already decided the §4 trial, the
+// single pass at the combined width runs on the winner and scatters
+// each operand's columns back correctly, and the batch leaves the
+// decision untouched.
 func TestOnlinePipelineSpMMBatch(t *testing.T) {
 	m := scrambled(t)
 	o, err := repro.NewOnlinePipeline(m, repro.DefaultConfig())
@@ -68,11 +69,15 @@ func TestOnlinePipelineSpMMBatch(t *testing.T) {
 		{Y: repro.NewDense(m.Rows, 2), X: x1},
 		{Y: repro.NewDense(m.Rows, 3), X: x2},
 	}
+	if done, _ := o.Decided(); !done {
+		t.Fatalf("not decided after construction")
+	}
+	rrT, nrT := o.TrialTimes()
 	if err := o.SpMMBatchIntoCtx(context.Background(), ops); err != nil {
 		t.Fatal(err)
 	}
-	if done, _ := o.Decided(); !done {
-		t.Fatalf("batched first call did not run the trial")
+	if rr2, nr2 := o.TrialTimes(); rr2 != rrT || nr2 != nrT {
+		t.Fatalf("batched call re-ran the trial")
 	}
 	for i, want := range []*repro.Dense{want1, want2} {
 		got := ops[i].Y

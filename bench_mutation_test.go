@@ -58,7 +58,7 @@ func BenchmarkMutationOverlayServe(b *testing.B) {
 			}
 			x := repro.NewRandomDense(m.Cols, k, 1)
 			y := repro.NewDense(m.Rows, k)
-			for i := 0; i < 2; i++ { // decide the trial, warm the pools
+			for i := 0; i < 2; i++ { // warm the pools
 				if err := l.SpMMIntoCtx(ctx, y, x); err != nil {
 					b.Fatal(err)
 				}

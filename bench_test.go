@@ -243,7 +243,7 @@ func onlineBenchSetup(b *testing.B) (*repro.OnlinePipeline, *repro.Dense) {
 		b.Fatal(err)
 	}
 	x := repro.NewRandomDense(m.Cols, 64, 1)
-	if _, err := o.SpMM(x); err != nil { // run the trial; decide the winner
+	if _, err := o.SpMM(x); err != nil { // warm the pools
 		b.Fatal(err)
 	}
 	return o, x

@@ -203,7 +203,7 @@ func runServe(m *repro.Matrix, cfg repro.Config, opts serveOptions) error {
 	}
 
 	st := s.Stats()
-	trial := "trial undecided"
+	trial := "reordered build still running, serving no-reorder"
 	if pipe := s.Pipeline(); pipe == nil {
 		trial = fmt.Sprintf("sharded (%d panels, no reorder trial)", s.Sharded().Panels())
 	} else {

@@ -20,6 +20,10 @@
 //     SpMMBatchIntoCtx, writing caller-provided outputs with
 //     cancellation and zero steady-state allocations; SpMM and SDDMM
 //     are the allocating conveniences.
+//   - The paper's §4 online trial-and-error strategy (OnlinePipeline):
+//     the reordered and plain plans are each timed once, on a fixed
+//     operand, as part of the build; the winner serves every call, and
+//     no serving call ever runs the trial.
 //   - A P100-parameterised GPU memory-hierarchy simulator (Estimate*)
 //     that reports the data movement and roofline time of each execution
 //     strategy — the measurement substrate for the paper's evaluation

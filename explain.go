@@ -17,8 +17,8 @@ import (
 
 // TrialExplain is the §4 online-trial section of a TenantExplain.
 type TrialExplain struct {
-	// Decided is true once the first-iteration trial (or degradation)
-	// settled the pipeline; ReorderingWon reports the verdict.
+	// Decided is true once the build's trial (or degradation) settled
+	// the pipeline; ReorderingWon reports the verdict.
 	Decided       bool `json:"decided"`
 	ReorderingWon bool `json:"reordering_won"`
 	// ReorderedSeconds/PlainSeconds are the trial's measured wall
@@ -66,9 +66,6 @@ type TenantExplain struct {
 	Features         KernelFeatures `json:"features"`
 
 	Trial TrialExplain `json:"trial"`
-	// Mispicks counts autotuner-feedback windows where the serving
-	// plan underperformed the measured trial loser (DESIGN.md §16).
-	Mispicks int64 `json:"mispicks"`
 
 	Live      LiveStats       `json:"live"`
 	Integrity integrity.Stats `json:"integrity"`
@@ -101,7 +98,6 @@ func (s *Server) Explain(id string) (*TenantExplain, error) {
 		Rows:        st.cur.Rows,
 		Cols:        st.cur.Cols,
 		NNZ:         st.cur.NNZ(),
-		Mispicks:    t.live.Mispicked(),
 		Live:        t.live.Stats(),
 		Integrity:   t.integ.Stats(),
 		Attribution: kernels.Attribution(),
@@ -111,16 +107,9 @@ func (s *Server) Explain(id string) (*TenantExplain, error) {
 	var plan *Plan
 	if o := st.online; o != nil {
 		ex.Mode = "online"
-		// Resolve the plan a call arriving now executes on, the same
-		// way OnlinePipeline.Kernel does: winner, else built reordered
-		// plan, else the no-reorder plan.
-		served, variant := o.nr, plancache.NR
-		if w := o.winner.Load(); w != nil {
-			if rr := o.rr.Load(); w == rr {
-				served, variant = rr, plancache.Full
-			}
-		} else if rr := o.rr.Load(); rr != nil {
-			served, variant = rr, plancache.Full
+		served, variant := o.serving.Load(), plancache.NR
+		if served != o.nr {
+			variant = plancache.Full
 		}
 		plan = served.plan
 		ex.PlanFingerprint = plancache.Fingerprint(st.baseM, cfg, variant)

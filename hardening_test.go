@@ -5,12 +5,14 @@ import (
 	"errors"
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro"
 	"repro/internal/faultinject"
 	"repro/internal/integrity"
+	"repro/internal/obs"
 	"repro/internal/testutil"
 )
 
@@ -162,49 +164,77 @@ func TestOnlinePipelineCtxBuildPanicDegrades(t *testing.T) {
 	}
 }
 
-// A trial cancelled mid-flight must not publish a winner; a later call
-// re-runs the trial and decides.
+// Cancelling the build ctx while the background §4 trial is running is
+// a failed build: the pipeline degrades with the cancellation as its
+// cause, bumps spmmrr_online_degraded_total like a budget overrun,
+// keeps serving the no-reorder plan bit-identically, and leaves no
+// goroutine behind.
 func TestOnlinePipelineCtxTrialCancelled(t *testing.T) {
 	m := freshScrambled(t, 1005)
 	warmKernelPool(t, m)
 	defer testutil.CheckNoGoroutineLeak(t)()
 
-	o, err := repro.NewOnlinePipelineCtx(context.Background(), m, repro.DefaultConfig())
+	degradedTotal := func() float64 {
+		for _, smp := range obs.Default().Snapshot() {
+			if smp.Name == "spmmrr_online_degraded_total" {
+				return smp.Value
+			}
+		}
+		return 0
+	}
+	before := degradedTotal()
+	// Kernels execute during the build only inside the trial, so the
+	// first kernel chunk the hook sees is the trial's warm-up pass.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var fired atomic.Int64
+	restore := faultinject.Set("kernels.exec", func() error {
+		if fired.Add(1) == 1 {
+			cancel()
+		}
+		return nil
+	})
+	o, err := repro.NewOnlinePipelineCtx(ctx, m, repro.DefaultConfig())
+	if err != nil {
+		restore()
+		t.Fatal(err)
+	}
+	err = o.WaitPreprocessed(context.Background())
+	restore()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := o.WaitPreprocessed(context.Background()); err != nil {
-		t.Fatal(err)
+	if fired.Load() == 0 {
+		t.Fatal("the build ran no trial kernel")
 	}
-	if deg, cause := o.Degraded(); deg {
-		t.Fatalf("unexpected degradation: %v", cause)
+	deg, cause := o.Degraded()
+	if !deg || !errors.Is(cause, context.Canceled) {
+		t.Fatalf("Degraded = %v, %v; want true, context.Canceled", deg, cause)
+	}
+	if done, rrWon := o.Decided(); !done || rrWon {
+		t.Fatalf("Decided = %v, %v; want settled on no-reorder", done, rrWon)
+	}
+	if rrT, nrT := o.TrialTimes(); rrT != 0 || nrT != 0 {
+		t.Fatalf("cancelled trial recorded times %v/%v", rrT, nrT)
+	}
+	if got := degradedTotal(); got < before+1 {
+		t.Fatalf("spmmrr_online_degraded_total %v -> %v, want a bump", before, got)
+	}
+	nr, err := repro.NewPipelineNR(m, repro.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
 	x := repro.NewRandomDense(m.Cols, 16, 4)
-	ctx, cancel := context.WithCancel(context.Background())
-	restore := faultinject.Set("kernels.exec", func() error { cancel(); return nil })
-	err = o.SpMMIntoCtx(ctx, repro.NewDense(m.Rows, x.Cols), x)
-	restore()
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled trial = %v, want context.Canceled", err)
-	}
-	if done, _ := o.Decided(); done {
-		t.Fatalf("cancelled trial published a winner")
-	}
-	// A later, uncancelled call runs the trial to completion.
-	want, err := repro.SpMM(m, x)
-	if err != nil {
+	want, got := repro.NewDense(m.Rows, x.Cols), repro.NewDense(m.Rows, x.Cols)
+	if err := nr.SpMMIntoCtx(context.Background(), want, x); err != nil {
 		t.Fatal(err)
 	}
-	got, err := o.SpMM(x)
-	if err != nil {
-		t.Fatalf("post-cancel trial: %v", err)
-	}
-	if done, _ := o.Decided(); !done {
-		t.Fatalf("post-cancel call did not decide")
+	if err := o.SpMMIntoCtx(context.Background(), got, x); err != nil {
+		t.Fatalf("degraded pipeline cannot serve: %v", err)
 	}
 	for i := range want.Data {
-		if math.Abs(float64(want.Data[i]-got.Data[i])) > 1e-4 {
-			t.Fatalf("post-cancel result diverges at %d", i)
+		if got.Data[i] != want.Data[i] {
+			t.Fatalf("degraded result diverges from the no-reorder plan at %d", i)
 		}
 	}
 }
@@ -267,8 +297,8 @@ func TestOnlinePipelineCtxConcurrentDegraded(t *testing.T) {
 }
 
 // The happy path of the budgeted constructor: a generous budget lets
-// the background build land, the first call runs the trial, and nothing
-// is degraded.
+// the background build land and its trial decide before
+// WaitPreprocessed returns, and nothing is degraded.
 func TestOnlinePipelineCtxBuildLands(t *testing.T) {
 	m := freshScrambled(t, 1007)
 	warmKernelPool(t, m)
@@ -286,6 +316,12 @@ func TestOnlinePipelineCtxBuildLands(t *testing.T) {
 	if deg, cause := o.Degraded(); deg {
 		t.Fatalf("build within budget degraded: %v", cause)
 	}
+	if done, _ := o.Decided(); !done {
+		t.Fatalf("not decided after WaitPreprocessed")
+	}
+	if rrT, nrT := o.TrialTimes(); rrT <= 0 || nrT <= 0 {
+		t.Fatalf("trial times not recorded: %v %v", rrT, nrT)
+	}
 	x := repro.NewRandomDense(m.Cols, 16, 6)
 	want, err := repro.SpMM(m, x)
 	if err != nil {
@@ -294,9 +330,6 @@ func TestOnlinePipelineCtxBuildLands(t *testing.T) {
 	got, err := o.SpMM(x)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if done, _ := o.Decided(); !done {
-		t.Fatalf("first call after build did not decide")
 	}
 	for i := range want.Data {
 		if math.Abs(float64(want.Data[i]-got.Data[i])) > 1e-4 {

@@ -122,17 +122,26 @@ func (p rowWisePass) SpMMIntoCtx(ctx context.Context, y, x *dense.Matrix) error 
 // sync.Pools mid-measurement, so a nonzero reading is retried a couple
 // of times before failing; a genuine per-call allocation fails every
 // attempt.
+//
+// Under -race the detector drops a random quarter of sync.Pool puts, so
+// pooled paths reallocate at random: the pin then accepts up to two
+// allocations per call and retries more often (the merge kernel's three
+// pools average more than two in about one reading in five).
 func assertZeroAllocsAfterWarmup(t *testing.T, name string, call func()) {
 	t.Helper()
 	for i := 0; i < 3; i++ {
 		call()
 	}
+	limit, attempts := 0.0, 3
+	if raceDetectorEnabled {
+		limit, attempts = 2, 10
+	}
 	var allocs float64
-	for attempt := 0; attempt < 3; attempt++ {
+	for attempt := 0; attempt < attempts; attempt++ {
 		allocs = testing.AllocsPerRun(20, call)
-		if allocs == 0 {
+		if allocs <= limit {
 			return
 		}
 	}
-	t.Fatalf("%s allocates %v objects per call at steady state, want 0", name, allocs)
+	t.Fatalf("%s allocates %v objects per call at steady state, want <= %v", name, allocs, limit)
 }

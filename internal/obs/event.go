@@ -17,7 +17,6 @@ const (
 	EventBreakerTransition = "breaker_transition" // circuit breaker changed state
 	EventQuarantine        = "quarantine"         // integrity monitor opened (or re-opened) a quarantine
 	EventReinstate         = "reinstate"          // probation window completed clean
-	EventMispick           = "mispick"            // autotuner feedback: observed throughput contradicts the pick
 	EventSLOBurn           = "slo_burn"           // per-tenant error-budget burn rate crossed 1
 )
 
@@ -29,7 +28,6 @@ var eventTypes = map[string]bool{
 	EventBreakerTransition: true,
 	EventQuarantine:        true,
 	EventReinstate:         true,
-	EventMispick:           true,
 	EventSLOBurn:           true,
 }
 

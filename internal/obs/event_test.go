@@ -36,7 +36,7 @@ func TestEventRingOrderAndEviction(t *testing.T) {
 
 func TestEventRingNilSafe(t *testing.T) {
 	var r *EventRing
-	r.Emit(Event{Type: EventMispick})
+	r.Emit(Event{Type: EventSLOBurn})
 	if r.Emitted() != 0 || r.Cap() != 0 || r.Snapshot() != nil {
 		t.Fatal("nil ring must be a no-op")
 	}
@@ -110,7 +110,6 @@ func TestEventJSONSchema(t *testing.T) {
 		EventBreakerTransition: {Type: EventBreakerTransition, Detail: "closed->open"},
 		EventQuarantine:        {Type: EventQuarantine, Tenant: "a", Epoch: 4, Detail: "row 7 mismatch"},
 		EventReinstate:         {Type: EventReinstate, Tenant: "a", Epoch: 5},
-		EventMispick:           {Type: EventMispick, Tenant: "a", PlanFP: "fp2", Kernel: "ell", Detail: "serving cost/flop exceeded trial loser", Value: 1.4},
 		EventSLOBurn:           {Type: EventSLOBurn, Tenant: "a", Detail: "error budget burning", Value: 2.5},
 	}
 	for _, e := range full {

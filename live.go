@@ -257,14 +257,10 @@ type LivePipeline struct {
 
 	degraded atomic.Pointer[degradeReason]
 
-	// sink receives decision events (plan swaps, overlay degradation;
-	// trial/mispick events flow through the online base's own sink).
-	// mispickWindow is the feedback window threaded to rebuilt bases;
-	// mispickCarry accumulates mispick counts of bases replaced by
-	// rebuild swaps so Mispicked never goes backwards.
-	sink          atomic.Pointer[eventSink]
-	mispickWindow atomic.Int64
-	mispickCarry  atomic.Int64
+	// sink receives decision events (plan swaps, overlay degradation)
+	// and is handed to every rebuilt online base for its trial_winner
+	// event. Fixed at construction; nil without an event ring.
+	sink *eventSink
 
 	mutations    obs.Counter // published mutation batches
 	valueUpdates obs.Counter
@@ -278,6 +274,8 @@ type LivePipeline struct {
 	rebuildsFailed    obs.Counter
 	rebuildsCancelled obs.Counter
 }
+
+type degradeReason struct{ err error }
 
 // LiveStats is a point-in-time snapshot of a live pipeline's mutation
 // counters. The counters reconcile exactly once the pipeline is idle
@@ -316,15 +314,15 @@ type LiveStats struct {
 
 // NewLivePipelineCtx builds a mutable serving pipeline over m: the base
 // is an online pipeline (no-reorder plan synchronously, reordered plan
-// in the background under cfg.PreprocessBudget, §4 trial on first use),
+// and §4 trial in the background under cfg.PreprocessBudget),
 // and Mutate keeps it current as the matrix changes. Background
 // rebuilds run under ctx: cancelling it stops them without degrading.
 func NewLivePipelineCtx(ctx context.Context, m *Matrix, cfg Config, lcfg LiveConfig) (*LivePipeline, error) {
-	o, err := newOnlinePipelineCtx(ctx, m, cfg, nil)
+	o, err := newOnlinePipelineCtx(ctx, m, cfg, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	return newLive(ctx, o, nil, 0, lcfg, nil), nil
+	return newLive(ctx, o, nil, 0, lcfg, nil, nil), nil
 }
 
 // NewLiveShardedPipelineCtx is NewLivePipelineCtx with a row-panel
@@ -335,17 +333,19 @@ func NewLiveShardedPipelineCtx(ctx context.Context, m *Matrix, cfg Config, targe
 	if err != nil {
 		return nil, err
 	}
-	return newLive(ctx, nil, sp, targetNNZ, lcfg, nil), nil
+	return newLive(ctx, nil, sp, targetNNZ, lcfg, nil, nil), nil
 }
 
 // newLive wraps an already-built base unit (exactly one of online or
-// sharded). ring, when non-nil, receives the rebuild traces (the Server
-// passes its /debug/traces ring).
-func newLive(ctx context.Context, online *OnlinePipeline, sharded *ShardedPipeline, shardNNZ int, lcfg LiveConfig, ring *obs.TraceRing) *LivePipeline {
+// sharded). ring, when non-nil, receives the rebuild traces and sink
+// the decision events (the Server passes its /debug/traces ring and
+// the tenant's sink; online must have been built with a sink for the
+// same tenant).
+func newLive(ctx context.Context, online *OnlinePipeline, sharded *ShardedPipeline, shardNNZ int, lcfg LiveConfig, ring *obs.TraceRing, sink *eventSink) *LivePipeline {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	l := &LivePipeline{ctx: ctx, lcfg: lcfg.withDefaults(), ring: ring, shardNNZ: shardNNZ}
+	l := &LivePipeline{ctx: ctx, lcfg: lcfg.withDefaults(), ring: ring, shardNNZ: shardNNZ, sink: sink}
 	var m *Matrix
 	if online != nil {
 		m = online.Matrix()
@@ -374,45 +374,6 @@ func (l *LivePipeline) Sharded() *ShardedPipeline { return l.state.Load().sharde
 // Epoch returns the current publish generation: it bumps by one per
 // applied mutation and per rebuild swap.
 func (l *LivePipeline) Epoch() uint64 { return l.state.Load().epoch }
-
-// Mispicked returns the tenant's total autotuner-feedback mispick
-// count: windows in which the serving plan underperformed the trial
-// loser, summed across every base this pipeline has served through
-// (re-skins copy the count; rebuild swaps fold it into a carry).
-// Always 0 for a sharded base — panels run no trial to second-guess.
-func (l *LivePipeline) Mispicked() int64 {
-	n := l.mispickCarry.Load()
-	if o := l.state.Load().online; o != nil {
-		n += o.Mispicked()
-	}
-	return n
-}
-
-// setEventSink routes this pipeline's decision events (plan swaps,
-// overlay degradation, trial winners, mispicks) to ring, labelled with
-// tenant. Call before serving; rebuilt bases inherit the sink.
-func (l *LivePipeline) setEventSink(ring *obs.EventRing, tenant string) {
-	if ring == nil {
-		return
-	}
-	es := &eventSink{ring: ring, tenant: tenant}
-	l.sink.Store(es)
-	if o := l.state.Load().online; o != nil {
-		o.sink.Store(es)
-	}
-}
-
-// setMispickWindow threads the autotuner-feedback window to the
-// current and every future online base.
-func (l *LivePipeline) setMispickWindow(n int) {
-	if n <= 0 {
-		return
-	}
-	l.mispickWindow.Store(int64(n))
-	if o := l.state.Load().online; o != nil {
-		o.setMispickWindow(n)
-	}
-}
 
 // Degraded reports whether background rebuilding was permanently
 // abandoned (overlay-forever serving) and the error that caused it.
@@ -1076,7 +1037,7 @@ func (l *LivePipeline) rebuildLoop() {
 			// a base that will not build. The overlay keeps serving —
 			// correct, bounded, and visibly degraded.
 			l.degraded.Store(&degradeReason{err: err})
-			l.sink.Load().emit(obs.Event{
+			l.sink.emit(obs.Event{
 				Type:   obs.EventOverlayDegraded,
 				Epoch:  l.state.Load().epoch,
 				Detail: err.Error(),
@@ -1145,18 +1106,12 @@ func (l *LivePipeline) rebuildAttempt() (err error) {
 	var online *OnlinePipeline
 	var sharded *ShardedPipeline
 	if st.online != nil {
-		online, err = newOnlinePipelineCtx(l.ctx, snapM, cfg, l.ring)
+		online, err = newOnlinePipelineCtx(l.ctx, snapM, cfg, l.ring, l.sink)
 		if err != nil {
 			return err
 		}
-		// The rebuilt base inherits the event sink and feedback window
-		// before it publishes (nothing serves through it yet).
-		if es := l.sink.Load(); es != nil {
-			online.sink.Store(es)
-		}
-		if w := l.mispickWindow.Load(); w > 0 {
-			online.setMispickWindow(int(w))
-		}
+		// The rebuilt base decides its trial before it can publish, so
+		// no request after the swap pays for it.
 		if werr := online.WaitPreprocessed(l.ctx); werr != nil {
 			return werr
 		}
@@ -1181,7 +1136,7 @@ func (l *LivePipeline) rebuildAttempt() (err error) {
 	// Fingerprint the rebuilt base for the swap event while still off
 	// the lock (the digest is O(nnz)).
 	var swapFP, swapKernel string
-	if es := l.sink.Load(); es != nil {
+	if l.sink != nil {
 		swapFP = plancache.Fingerprint(snapM, cfg, plancache.Full)
 		if online != nil {
 			swapKernel = online.Kernel().String()
@@ -1215,14 +1170,9 @@ func (l *LivePipeline) rebuildAttempt() (err error) {
 	// epoch when they originally published.
 	ns.epoch = cur.epoch + 1
 	l.pending = nil
-	// The replaced base's mispick count folds into the carry so the
-	// tenant's total never goes backwards across swaps.
-	if cur.online != nil {
-		l.mispickCarry.Add(cur.online.mispicks.Load())
-	}
 	l.state.Store(ns)
 	l.swaps.Inc()
-	l.sink.Load().emit(obs.Event{
+	l.sink.emit(obs.Event{
 		Type:   obs.EventPlanSwap,
 		Epoch:  ns.epoch,
 		PlanFP: swapFP,
@@ -1233,16 +1183,16 @@ func (l *LivePipeline) rebuildAttempt() (err error) {
 
 // checkBasePlans validates the pre-swap structural invariants
 // (integrity.CheckPlan: permutation bijectivity, RowPtr monotonicity,
-// index ranges) of every plan a base unit serves from — the NR and
-// reordered plans of an online base, or every panel of a sharded one.
+// index ranges) of every plan a base unit serves from — the NR plan
+// and trial winner of an online base, or every panel of a sharded one.
 // Exactly one of online/sharded is non-nil.
 func checkBasePlans(online *OnlinePipeline, sharded *ShardedPipeline) error {
 	if online != nil {
 		if err := checkPipelinePlan(online.nr); err != nil {
 			return err
 		}
-		if rr := online.rr.Load(); rr != nil {
-			return checkPipelinePlan(rr)
+		if w := online.serving.Load(); w != online.nr {
+			return checkPipelinePlan(w)
 		}
 		return nil
 	}

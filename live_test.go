@@ -603,7 +603,7 @@ func TestLiveUnmutatedFastPathNoAllocs(t *testing.T) {
 	ctx := context.Background()
 	x := intDense(m.Cols, 4, rng)
 	y := &repro.Dense{Rows: m.Rows, Cols: 4, Data: make([]float32, m.Rows*4)}
-	// Warm: decide the online trial and fill kernel scratch pools.
+	// Warm: fill kernel scratch pools.
 	for i := 0; i < 3; i++ {
 		if err := l.SpMMIntoCtx(ctx, y, x); err != nil {
 			t.Fatal(err)

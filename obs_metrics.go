@@ -14,13 +14,13 @@ import (
 // per-Server (see NewServer).
 var (
 	onlineTrialsReordered = obs.Default().Counter("spmmrr_online_trials_total",
-		"First-iteration trials decided, by winning plan.", obs.L("winner", "reordered"))
+		"Build-time §4 trials decided, by winning plan.", obs.L("winner", "reordered"))
 	onlineTrialsPlain = obs.Default().Counter("spmmrr_online_trials_total",
-		"First-iteration trials decided, by winning plan.", obs.L("winner", "plain"))
+		"Build-time §4 trials decided, by winning plan.", obs.L("winner", "plain"))
 	onlineWinnerFlips = obs.Default().Counter("spmmrr_online_winner_flips_total",
 		"Consecutive trial decisions that disagreed with the previous one.")
 	onlineDegraded = obs.Default().Counter("spmmrr_online_degraded_total",
-		"Background reordered builds abandoned (budget, cancellation, error, panic).")
+		"Background reordered builds or trials abandoned (budget, cancellation, error, panic).")
 	onlineTrialRRSeconds = obs.Default().GaugeFloat("spmmrr_online_trial_reordered_seconds",
 		"Reordered-plan wall time measured by the most recent trial.")
 	onlineTrialNRSeconds = obs.Default().GaugeFloat("spmmrr_online_trial_plain_seconds",
@@ -48,14 +48,6 @@ var (
 	shardPanelsBuilt = obs.Default().Histogram("spmmrr_shard_panels",
 		"Row panels per constructed ShardedPipeline.",
 		obs.ExponentialBuckets(1, 2, 8))
-
-	// Autotuner feedback: windows of observed serving throughput in
-	// which the trial winner underperformed the measured trial loser —
-	// the signal that the one-shot §4 decision (or the structural
-	// autotune) no longer matches the live workload. Observability
-	// only: the plan is never flipped mid-serve.
-	autotuneMispicks = obs.Default().Counter("spmmrr_autotune_mispick_total",
-		"Feedback windows where the serving plan underperformed the trial loser.")
 )
 
 // recordShardPanels publishes a constructed sharded pipeline's panel
@@ -77,10 +69,6 @@ func recordKernelChoice(k Kernel) {
 		kernelChoiceASpT.Inc()
 	}
 }
-
-// recordMispick publishes one autotuner-feedback mispick window to the
-// process registry.
-func recordMispick() { autotuneMispicks.Inc() }
 
 // recordTrial publishes one decided trial to the process registry.
 func recordTrial(reorderedWon bool, rrTime, nrTime time.Duration) {

@@ -2,7 +2,6 @@ package repro
 
 import (
 	"context"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -17,69 +16,41 @@ import (
 // strategy: "perform row-reordering in the first iteration and do SpMM
 // on both the reordered matrix and the original matrix. If the
 // reordered matrix is faster, keep the row-reordering for the rest of
-// iterations; otherwise, discard [it]". The first SpMM (or SDDMM) call
-// after both plans exist runs the trial — one untimed warm-up of each
-// plan to strip the cold-cache penalty, then one timed run of each —
-// and locks in the winner for every subsequent call.
+// iterations; otherwise, discard [it]". The trial runs as part of the
+// build, never on a serving call: one untimed warm-up of each plan to
+// strip the cold-cache penalty, then one timed run of each, on a fixed
+// deterministic operand of width trialK. The winner serves every call.
 //
 // Built with NewOnlinePipelineCtx, the pipeline is additionally
 // *degradation-hardened*: only the cheap no-reorder (ASpT-NR) plan is
 // built before the constructor returns, while the expensive reordered
-// plan builds in the background under cfg.PreprocessBudget. Until that
-// build lands, calls serve the NR plan immediately; if the build runs
-// over budget, is cancelled, or fails, the pipeline permanently settles
-// on NR and records why (see Degraded). Serving is therefore never
-// blocked on — and never crashes because of — preprocessing.
+// plan builds — and the trial runs — in the background under
+// cfg.PreprocessBudget. Until that settles, calls serve the NR plan
+// immediately; if the build or its trial runs over budget, is
+// cancelled, or fails, the pipeline permanently settles on NR and
+// records why (see Degraded). Serving is therefore never blocked on —
+// and never crashes because of — preprocessing.
 //
-// OnlinePipeline is safe for concurrent use. Once the trial has
-// decided, calls load the winner through an atomic pointer and execute
-// without taking any lock, so N goroutines get N-way parallel
-// SpMM/SDDMM; only concurrent *undecided* calls with both plans ready
-// serialise, and they serialise only the trial itself.
+// OnlinePipeline is safe for concurrent use: every call loads the
+// serving plan through one atomic pointer and executes without taking
+// any lock, so N goroutines get N-way parallel SpMM/SDDMM.
 type OnlinePipeline struct {
 	nr *Pipeline
 
-	// rr is nil until the reordered build lands (immediately in
-	// NewOnlinePipeline; in the background in NewOnlinePipelineCtx).
-	rr atomic.Pointer[Pipeline]
+	// serving is the plan every call executes on: nr until the build
+	// settles, then the trial winner (nr again when degraded).
+	serving atomic.Pointer[Pipeline]
 
-	// winner is nil until the trial decides or the pipeline degrades;
-	// decided calls go straight through this pointer without touching mu.
-	winner atomic.Pointer[Pipeline]
-
-	// degraded records why the reordered build was abandoned (nil while
-	// it is pending or after it succeeded).
-	degraded atomic.Pointer[degradeReason]
-
-	// buildDone closes when the background reordered build finishes,
-	// for better or worse.
-	buildDone chan struct{}
-
-	mu     sync.Mutex // serialises the trial; guards the times below
-	rrTime time.Duration
-	nrTime time.Duration
-
-	// Autotuner feedback (observability only — the winner is never
-	// flipped mid-serve). Decided SpMM calls accumulate wall time and
-	// flops into the fb* atomics; every fbWindow samples the window is
-	// drained and its observed cost per flop compared against
-	// loserNSPerFlop, the trial loser's measured cost — a window where
-	// the serving plan underperforms the plan the trial rejected is a
-	// mispick (see DESIGN.md §16). loserNSPerFlop and planFP are plain
-	// fields written in decide before winner publishes; the
-	// release-acquire pair on winner makes them safe to read on any
-	// decided call.
-	fbWindow int64 // samples per evaluation window (0 disables)
-	fbCount  atomic.Int64
-	fbNS     atomic.Int64
-	fbFlops  atomic.Int64
-	mispicks atomic.Int64
-
-	loserNSPerFlop float64
+	// buildDone closes when the build has settled, for better or
+	// worse. The fields below are written once before it closes and
+	// read only after it.
+	buildDone      chan struct{}
+	rrTime, nrTime time.Duration
 	planFP         string
+	degraded       error // why the reordered build was abandoned
 
-	// sink, when set, receives decision events (trial winner, mispick).
-	sink atomic.Pointer[eventSink]
+	// sink receives the trial_winner event (nil: no event ring).
+	sink *eventSink
 }
 
 // eventSink binds a decision-event ring to the tenant label its events
@@ -96,31 +67,31 @@ func (s *eventSink) emit(e obs.Event) {
 	}
 }
 
-// defaultMispickWindow is the feedback evaluation window when no
-// explicit ServerConfig.MispickWindow is threaded through.
-const defaultMispickWindow = 64
-
-// mispickSlack is how much worse (×) than the trial loser a window's
-// observed cost per flop must be before it counts as a mispick —
-// absorbing timer noise and cache effects so a dead-heat trial does
-// not flap the counter.
-const mispickSlack = 1.1
-
-type degradeReason struct{ err error }
+// trialK is the dense width the §4 trial measures at, and trialSeed
+// seeds its operand, so the same matrix always trials the same work.
+// Narrow widths are where row reordering matters most (one X row spans
+// few cache lines, so row locality decides reuse); at K=32 the two
+// orderings of the benchmark's scrambled matrices run within the
+// single-shot trial's noise, so a trial there is a coin flip that
+// hands narrow-K tenants the slower plan.
+const (
+	trialK    = 8
+	trialSeed = 1
+)
 
 // closedChan is shared by every synchronously constructed pipeline.
 var closedChan = func() chan struct{} { c := make(chan struct{}); close(c); return c }()
 
 // NewOnlinePipeline preprocesses m both ways (with the §4 heuristics and
-// without any reordering) and returns a pipeline that will pick between
-// them on first use. Both builds go through the process-wide plan
+// without any reordering), runs the trial and returns a pipeline
+// serving the winner. Both builds go through the process-wide plan
 // cache, so an online pipeline over an already-seen sparsity structure
 // (e.g. the same graph re-served with new values) starts in O(nnz)
 // without any LSH, clustering, or tiling work.
 //
-// Both builds run synchronously: the constructor does not return until
-// the reordered plan exists (or errors). For budgeted, non-blocking
-// construction use NewOnlinePipelineCtx.
+// Everything runs synchronously: the constructor does not return until
+// the trial has decided (or a build or the trial errors). For
+// budgeted, non-blocking construction use NewOnlinePipelineCtx.
 func NewOnlinePipeline(m *Matrix, cfg Config) (*OnlinePipeline, error) {
 	rr, err := NewPipeline(m, cfg)
 	if err != nil {
@@ -130,40 +101,44 @@ func NewOnlinePipeline(m *Matrix, cfg Config) (*OnlinePipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	o := &OnlinePipeline{nr: nr, buildDone: closedChan, fbWindow: defaultMispickWindow}
-	o.rr.Store(rr)
+	o := &OnlinePipeline{nr: nr, buildDone: closedChan}
+	o.serving.Store(nr)
+	if err := o.trial(context.Background(), rr); err != nil {
+		return nil, err
+	}
 	return o, nil
 }
 
 // NewOnlinePipelineCtx builds the serving-grade online pipeline: the
 // cheap no-reorder plan is built synchronously (its error, if any, is
-// the constructor's error), and the expensive reordered plan builds in
-// a background goroutine governed by ctx and, when positive, by
-// cfg.PreprocessBudget of wall-clock time.
+// the constructor's error), and the expensive reordered plan builds and
+// trials in a background goroutine governed by ctx and, when positive,
+// by cfg.PreprocessBudget of wall-clock time.
 //
 // The pipeline serves immediately: SpMM/SDDMM calls arriving before the
-// reordered plan is ready execute on the no-reorder plan without
-// waiting. When the background build lands, the next call runs the §4
-// trial as usual. If the build exceeds its budget, observes ctx's
+// trial has decided execute on the no-reorder plan without waiting.
+// If the build or its trial exceeds the budget, observes ctx's
 // cancellation, fails, or panics (surfaced as a *PanicError), the
 // pipeline permanently degrades to the no-reorder plan — Decided then
 // reports (true, false) and Degraded returns the recorded cause. A
 // failed or cancelled build is never stored in the plan cache.
 func NewOnlinePipelineCtx(ctx context.Context, m *Matrix, cfg Config) (*OnlinePipeline, error) {
-	return newOnlinePipelineCtx(ctx, m, cfg, nil)
+	return newOnlinePipelineCtx(ctx, m, cfg, nil, nil)
 }
 
 // newOnlinePipelineCtx is NewOnlinePipelineCtx with an optional trace
-// ring: when ring is non-nil, the background reordered build runs under
-// a "build_reordered" trace — carrying the preprocessing stage spans
-// recorded inside reorder — which is pushed to the ring when the build
-// settles. The Server passes its /debug/traces ring here.
-func newOnlinePipelineCtx(ctx context.Context, m *Matrix, cfg Config, ring *obs.TraceRing) (*OnlinePipeline, error) {
+// ring and event sink. When ring is non-nil, the background build runs
+// under a "build_reordered" trace — carrying the preprocessing stage
+// spans recorded inside reorder — which is pushed to the ring when the
+// build settles. sink receives the trial_winner event. The Server
+// passes its /debug/traces ring and the tenant's sink here.
+func newOnlinePipelineCtx(ctx context.Context, m *Matrix, cfg Config, ring *obs.TraceRing, sink *eventSink) (*OnlinePipeline, error) {
 	nr, err := NewPipelineNRCtx(ctx, m, cfg)
 	if err != nil {
 		return nil, err
 	}
-	o := &OnlinePipeline{nr: nr, buildDone: make(chan struct{}), fbWindow: defaultMispickWindow}
+	o := &OnlinePipeline{nr: nr, buildDone: make(chan struct{}), sink: sink}
+	o.serving.Store(nr)
 	bctx, cancel := context.WithCancel(ctx)
 	if cfg.PreprocessBudget > 0 {
 		bctx, cancel = context.WithTimeout(ctx, cfg.PreprocessBudget)
@@ -182,12 +157,13 @@ func newOnlinePipelineCtx(ctx context.Context, m *Matrix, cfg Config, ring *obs.
 		// — a background goroutine must never crash the process.
 		err := par.Guard(func() error {
 			var err error
-			rr, err = NewPipelineCtx(bctx, m, cfg)
-			return err
+			if rr, err = NewPipelineCtx(bctx, m, cfg); err != nil {
+				return err
+			}
+			return o.trial(bctx, rr)
 		})
 		if err != nil {
-			o.degraded.Store(&degradeReason{err: err})
-			o.winner.Store(o.nr)
+			o.degraded = err
 			onlineDegraded.Inc()
 			if tr != nil {
 				tr.Annotate("outcome", "degraded")
@@ -196,7 +172,6 @@ func newOnlinePipelineCtx(ctx context.Context, m *Matrix, cfg Config, ring *obs.
 			}
 			return
 		}
-		o.rr.Store(rr)
 		if tr != nil {
 			tr.Annotate("outcome", "ok")
 			tr.Annotate("stages", rr.PlanStages().String())
@@ -208,30 +183,32 @@ func newOnlinePipelineCtx(ctx context.Context, m *Matrix, cfg Config, ring *obs.
 }
 
 // Decided reports whether the pipeline has settled on a plan, and if so
-// whether reordering won. Settling happens through the first-iteration
-// trial or — for budgeted pipelines — by degrading to the no-reorder
+// whether reordering won. Settling happens when the build's trial
+// decides or — for budgeted pipelines — by degrading to the no-reorder
 // plan (in which case reorderingWon is false; see Degraded for why).
 func (o *OnlinePipeline) Decided() (done, reorderingWon bool) {
-	w := o.winner.Load()
-	return w != nil, w != nil && w == o.rr.Load()
+	if !o.Preprocessed() {
+		return false, false
+	}
+	return true, o.serving.Load() != o.nr
 }
 
 // Degraded reports whether the reordered build was abandoned — budget
-// exceeded, context cancelled, build error, or build panic — and the
+// exceeded, context cancelled, build or trial error, or panic — and the
 // error that caused it. A degraded pipeline serves the no-reorder plan
 // permanently.
 func (o *OnlinePipeline) Degraded() (bool, error) {
-	if d := o.degraded.Load(); d != nil {
-		return true, d.err
+	if !o.Preprocessed() {
+		return false, nil
 	}
-	return false, nil
+	return o.degraded != nil, o.degraded
 }
 
-// WaitPreprocessed blocks until the background reordered build has
-// finished (successfully or by degrading) or ctx is cancelled. It
-// returns ctx's error in the latter case and nil otherwise; check
-// Degraded for the build's outcome. Pipelines built with
-// NewOnlinePipeline return immediately.
+// WaitPreprocessed blocks until the build has settled (the trial
+// decided, or the pipeline degraded) or ctx is cancelled. It returns
+// ctx's error in the latter case and nil otherwise; check Degraded for
+// the build's outcome. Pipelines built with NewOnlinePipeline return
+// immediately.
 func (o *OnlinePipeline) WaitPreprocessed(ctx context.Context) error {
 	select {
 	case <-o.buildDone:
@@ -241,33 +218,29 @@ func (o *OnlinePipeline) WaitPreprocessed(ctx context.Context) error {
 	}
 }
 
-// TrialTimes returns the wall times measured in the deciding iteration.
-//
-// Pre-decision contract: until Decided reports done, TrialTimes returns
-// (0, 0) immediately — it is guarded by the decided flag and never
-// blocks on the decision lock, which an in-flight trial holds for the
-// full duration of four kernel executions. A degraded pipeline returns
-// zeros forever: no trial ever runs. Poll Decided (or WaitPreprocessed
-// plus one serving call) before treating the times as meaningful.
+// TrialTimes returns the wall times the trial measured: (0, 0) until
+// Decided reports done, and forever for a degraded pipeline.
 func (o *OnlinePipeline) TrialTimes() (reordered, plain time.Duration) {
-	if o.winner.Load() == nil {
+	if !o.Preprocessed() {
 		return 0, 0
 	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
 	return o.rrTime, o.nrTime
 }
 
 // Pipeline returns the winning pipeline once decided (nil before).
-func (o *OnlinePipeline) Pipeline() *Pipeline { return o.winner.Load() }
+func (o *OnlinePipeline) Pipeline() *Pipeline {
+	if !o.Preprocessed() {
+		return nil
+	}
+	return o.serving.Load()
+}
 
 // Matrix returns the original (unreordered) matrix.
 func (o *OnlinePipeline) Matrix() *Matrix { return o.nr.Matrix() }
 
-// Preprocessed reports, without blocking, whether the background
-// reordered build has finished (successfully or by degrading) — the
-// readiness signal a /readyz probe wants: once true, every serving
-// decision the pipeline will ever make is already cheap.
+// Preprocessed reports, without blocking, whether the build has settled
+// — the readiness signal a /readyz probe wants: once true, every
+// serving decision the pipeline will ever make is already made.
 func (o *OnlinePipeline) Preprocessed() bool {
 	select {
 	case <-o.buildDone:
@@ -278,37 +251,25 @@ func (o *OnlinePipeline) Preprocessed() bool {
 }
 
 // PlanStages returns the preprocessing stage breakdown of the plan a
-// call arriving now would execute on: the winner's once decided, else
-// the reordered plan's when its build has landed, else the no-reorder
-// plan's.
-func (o *OnlinePipeline) PlanStages() StageTimings {
-	if w := o.winner.Load(); w != nil {
-		return w.PlanStages()
+// call arriving now executes on.
+func (o *OnlinePipeline) PlanStages() StageTimings { return o.serving.Load().PlanStages() }
+
+// Kernel returns the SpMM kernel of the plan a call arriving now
+// executes on.
+func (o *OnlinePipeline) Kernel() Kernel { return o.serving.Load().Kernel() }
+
+// PlanFingerprint returns the plan-cache fingerprint of the winning
+// plan once the trial has decided ("" before, and "" for a degraded
+// pipeline — no trial ever measured its plan).
+func (o *OnlinePipeline) PlanFingerprint() string {
+	if !o.Preprocessed() {
+		return ""
 	}
-	if rr := o.rr.Load(); rr != nil {
-		return rr.PlanStages()
-	}
-	return o.nr.PlanStages()
+	return o.planFP
 }
 
-// Kernel returns the SpMM kernel of the plan a call arriving now would
-// execute on (winner, else built reordered plan, else the no-reorder
-// plan), resolving the same way as PlanStages.
-func (o *OnlinePipeline) Kernel() Kernel {
-	if w := o.winner.Load(); w != nil {
-		return w.Kernel()
-	}
-	if rr := o.rr.Load(); rr != nil {
-		return rr.Kernel()
-	}
-	return o.nr.Kernel()
-}
-
-// SpMM computes Y = S·X. The first call with both plans ready runs the
-// trial and keeps the faster plan; later calls use the winner
-// lock-free. While the reordered plan is still building in the
-// background, calls serve the no-reorder plan immediately. The output
-// comes from the dense scratch pool (see Pipeline.SpMM).
+// SpMM computes Y = S·X on the serving plan. The output comes from the
+// dense scratch pool (see Pipeline.SpMM).
 func (o *OnlinePipeline) SpMM(x *Dense) (*Dense, error) {
 	return allocInto(dense.Get(o.Matrix().Rows, x.Cols), dense.Put, func(y *Dense) error {
 		return o.SpMMIntoCtx(context.Background(), y, x)
@@ -316,63 +277,20 @@ func (o *OnlinePipeline) SpMM(x *Dense) (*Dense, error) {
 }
 
 // SpMMIntoCtx computes Y = S·X into the caller-provided y with
-// cooperative cancellation between kernel chunks and panic isolation.
-// Once decided (or while degraded / still building) it delegates to a
-// plan's SpMMIntoCtx without locking or allocating; the deciding call
-// itself allocates for the trial runs. A call cancelled mid-trial
-// returns ctx's error without publishing a winner; a later call re-runs
-// the trial. y is checked before the trial, so a malformed request
-// never decides it.
+// cooperative cancellation between kernel chunks and panic isolation,
+// delegating to the serving plan without locking or allocating.
 func (o *OnlinePipeline) SpMMIntoCtx(ctx context.Context, y *Dense, x *Dense) error {
-	if w := o.winner.Load(); w != nil {
-		start := time.Now()
-		err := w.SpMMIntoCtx(ctx, y, x)
-		if err == nil {
-			o.observeServe(time.Since(start), x.Cols)
-		}
-		return err
-	}
-	rr := o.rr.Load()
-	if rr == nil {
-		// Reordered plan not ready: serve the no-reorder plan now
-		// rather than blocking the caller on preprocessing.
-		return o.nr.SpMMIntoCtx(ctx, y, x)
-	}
-	if err := checkSpMMOut(o.Matrix(), y, x); err != nil {
-		return err
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if w := o.winner.Load(); w != nil {
-		// Another goroutine decided while this one waited on the lock.
-		return w.SpMMIntoCtx(ctx, y, x)
-	}
-	res, err := trial(o, rr, x.Cols, func(p *Pipeline) (*Dense, error) {
-		return allocInto(dense.Get(y.Rows, y.Cols), dense.Put, func(dst *Dense) error {
-			return p.SpMMIntoCtx(ctx, dst, x)
-		})
-	})
-	if err != nil {
-		return err
-	}
-	copy(y.Data, res.Data)
-	return nil
+	return o.serving.Load().SpMMIntoCtx(ctx, y, x)
 }
 
 // SpMMBatchIntoCtx computes every op's Y = S·X in one batched kernel
-// pass (see Pipeline.SpMMBatchIntoCtx) through whichever plan a call
-// arriving now would execute on. The single pass at the combined width
-// flows through SpMMIntoCtx, so a batch arriving before the trial has
-// decided runs the trial like any other call — at the batch's combined
-// width, which is also the width the winner will mostly serve if
-// coalescing stays effective.
+// pass (see Pipeline.SpMMBatchIntoCtx) on the serving plan.
 func (o *OnlinePipeline) SpMMBatchIntoCtx(ctx context.Context, ops []BatchOp) error {
 	return kernels.SpMMBatchIntoCtx(ctx, o, ops)
 }
 
-// SDDMM computes O = S ⊙ (Y·Xᵀ) with the same first-call trial, the
-// same lock-free decided path, and the same serve-NR-while-building
-// behaviour.
+// SDDMM computes O = S ⊙ (Y·Xᵀ) on the serving plan: SDDMM follows
+// the SpMM trial's decision.
 func (o *OnlinePipeline) SDDMM(x, y *Dense) (*Matrix, error) {
 	return allocInto(o.Matrix().Clone(), nil, func(out *Matrix) error {
 		return o.SDDMMIntoCtx(context.Background(), out, x, y)
@@ -380,66 +298,59 @@ func (o *OnlinePipeline) SDDMM(x, y *Dense) (*Matrix, error) {
 }
 
 // SDDMMIntoCtx computes O = S ⊙ (Y·Xᵀ) into out, which must have the
-// matrix's sparsity structure, with the trial and cancellation
-// behaviour of SpMMIntoCtx. out is checked before the trial.
+// matrix's sparsity structure, on the serving plan.
 func (o *OnlinePipeline) SDDMMIntoCtx(ctx context.Context, out *Matrix, x, y *Dense) error {
-	if w := o.winner.Load(); w != nil {
-		return w.SDDMMIntoCtx(ctx, out, x, y)
+	return o.serving.Load().SDDMMIntoCtx(ctx, out, x, y)
+}
+
+// trial runs the §4 trial on the build path, before the pipeline is
+// published as decided. It warms up both plans untimed (so neither
+// eats the cold-cache penalty the other is measured without), then
+// times one run of each and publishes the winner. Any error —
+// including ctx's cancellation mid-flight — aborts the trial without
+// publishing a winner; the caller treats it as a failed build.
+func (o *OnlinePipeline) trial(ctx context.Context, rr *Pipeline) error {
+	m := o.Matrix()
+	x := dense.NewRandom(m.Cols, trialK, trialSeed)
+	y := dense.Get(m.Rows, trialK)
+	defer dense.Put(y)
+	plans := [2]*Pipeline{rr, o.nr}
+	var times [2]time.Duration
+	for pass := 0; pass < 2; pass++ { // pass 0 warms up, pass 1 is timed
+		for i, p := range plans {
+			t0 := time.Now()
+			if err := p.SpMMIntoCtx(ctx, y, x); err != nil {
+				return err
+			}
+			times[i] = time.Since(t0)
+		}
 	}
-	rr := o.rr.Load()
-	if rr == nil {
-		return o.nr.SDDMMIntoCtx(ctx, out, x, y)
-	}
-	if err := checkSDDMMOut(o.Matrix(), out); err != nil {
-		return err
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if w := o.winner.Load(); w != nil {
-		return w.SDDMMIntoCtx(ctx, out, x, y)
-	}
-	res, err := trial(o, rr, x.Cols, func(p *Pipeline) (*Matrix, error) {
-		return allocInto(p.Matrix().Clone(), nil, func(dst *Matrix) error {
-			return p.SDDMMIntoCtx(ctx, dst, x, y)
-		})
-	})
-	if err != nil {
-		return err
-	}
-	copy(out.Val, res.Val)
+	o.decide(rr, times[0], times[1])
 	return nil
 }
 
-// trial runs the §4 trial; the caller holds o.mu. It warms up both
-// plans untimed (so neither eats the cold-cache penalty the other is
-// measured without), then times one run of each, publishes the winner,
-// and returns the winner's output, so the loser's discarded output is
-// never what the caller observes. Any error — including ctx's
-// cancellation mid-flight — aborts the trial without publishing a
-// winner.
-func trial[T any](o *OnlinePipeline, rr *Pipeline, k int, run func(p *Pipeline) (*T, error)) (*T, error) {
-	if _, err := run(rr); err != nil {
-		return nil, err
+// decide records the trial times and publishes the winner; ties keep
+// the plain plan (no reordering to maintain).
+func (o *OnlinePipeline) decide(rr *Pipeline, rrTime, nrTime time.Duration) {
+	o.rrTime, o.nrTime = rrTime, nrTime
+	w, won, lost, variant, detail := o.nr, nrTime, rrTime, plancache.NR, "plain"
+	if rrTime < nrTime {
+		w, won, lost, variant, detail = rr, rrTime, nrTime, plancache.Full, "reordered"
 	}
-	if _, err := run(o.nr); err != nil {
-		return nil, err
+	o.planFP = plancache.Fingerprint(o.nr.Matrix(), o.nr.plan.Cfg, variant)
+	o.serving.Store(w)
+	recordTrial(w == rr, rrTime, nrTime)
+	speedup := 0.0
+	if won > 0 {
+		speedup = float64(lost) / float64(won)
 	}
-	t0 := time.Now()
-	outRR, err := run(rr)
-	if err != nil {
-		return nil, err
-	}
-	rrTime := time.Since(t0)
-	t0 = time.Now()
-	outNR, err := run(o.nr)
-	if err != nil {
-		return nil, err
-	}
-	nrTime := time.Since(t0)
-	if o.decide(rr, rrTime, nrTime, k) == rr {
-		return outRR, nil
-	}
-	return outNR, nil
+	o.sink.emit(obs.Event{
+		Type:   obs.EventTrialWinner,
+		PlanFP: o.planFP,
+		Kernel: w.Kernel().String(),
+		Detail: detail,
+		Value:  speedup,
+	})
 }
 
 // reskin rebuilds this online pipeline for a matrix with the *same
@@ -448,13 +359,12 @@ func trial[T any](o *OnlinePipeline, rr *Pipeline, k int, run func(p *Pipeline) 
 // each rebuild is an O(nnz) value regather, not a re-preprocess.
 //
 // The trial decision carries over: structure is what the §4 trial
-// measures, and the structure has not changed, so if the old pipeline
-// had settled on (say) the reordered plan the new one starts settled on
-// its reskinned counterpart — no re-trial, no window where serving
-// would flap back to NR. A degraded pipeline reskins to a degraded one
-// (NR-only, same recorded cause). A pipeline whose background build is
-// still in flight is waited for first: reskinning a moving target would
-// race the build's publication.
+// measures, and the structure has not changed, so the new pipeline
+// starts decided on the reskinned counterpart of the old winner — no
+// re-trial, no window where serving would flap back to NR. A degraded
+// pipeline reskins to a degraded one (NR-only, same recorded cause). A
+// pipeline whose background build is still in flight is waited for
+// first: reskinning a moving target would race the build's decision.
 func (o *OnlinePipeline) reskin(ctx context.Context, m *Matrix) (*OnlinePipeline, error) {
 	if err := o.WaitPreprocessed(ctx); err != nil {
 		return nil, err
@@ -464,149 +374,14 @@ func (o *OnlinePipeline) reskin(ctx context.Context, m *Matrix) (*OnlinePipeline
 	if err != nil {
 		return nil, err
 	}
-	n := &OnlinePipeline{nr: nr, buildDone: closedChan, fbWindow: o.fbWindow}
-	n.sink.Store(o.sink.Load())
-	n.mispicks.Store(o.mispicks.Load())
-	if d := o.degraded.Load(); d != nil {
-		n.degraded.Store(d)
-		n.winner.Store(nr)
-		return n, nil
-	}
-	oldRR := o.rr.Load()
-	rr, err := NewPipelineCtx(ctx, m, cfg)
-	if err != nil {
-		return nil, err
-	}
-	n.rr.Store(rr)
-	if w := o.winner.Load(); w != nil {
-		o.mu.Lock()
-		rrT, nrT := o.rrTime, o.nrTime
-		o.mu.Unlock()
-		n.mu.Lock()
-		n.rrTime, n.nrTime = rrT, nrT
-		n.mu.Unlock()
-		// The trial decision carries over, and with it the feedback
-		// baseline: a value-only re-skin preserves structure, so both
-		// the fingerprint and the loser's cost per flop still describe
-		// the plans now serving. Written before winner.Store publishes.
-		n.loserNSPerFlop = o.loserNSPerFlop
-		n.planFP = o.planFP
-		if w == oldRR {
-			n.winner.Store(rr)
-		} else {
-			n.winner.Store(nr)
+	n := &OnlinePipeline{nr: nr, buildDone: closedChan, sink: o.sink,
+		rrTime: o.rrTime, nrTime: o.nrTime, planFP: o.planFP, degraded: o.degraded}
+	w := nr
+	if _, won := o.Decided(); won {
+		if w, err = NewPipelineCtx(ctx, m, cfg); err != nil {
+			return nil, err
 		}
 	}
+	n.serving.Store(w)
 	return n, nil
-}
-
-// decide publishes the winner; ties keep the plain plan (no reordering
-// to maintain). Caller holds o.mu; the times are recorded only here so
-// an aborted trial leaves them zero. k is the dense width the trial
-// ran at — it converts the loser's wall time into the cost-per-flop
-// baseline the feedback loop compares serving windows against. The
-// baseline and the winner's plan fingerprint are plain fields written
-// before winner.Store publishes, so any decided call reads them safely
-// through the release-acquire pair on winner.
-func (o *OnlinePipeline) decide(rr *Pipeline, rrTime, nrTime time.Duration, k int) *Pipeline {
-	o.rrTime, o.nrTime = rrTime, nrTime
-	w, won, loser := o.nr, nrTime, rrTime
-	variant := plancache.NR
-	if rrTime < nrTime {
-		w, won, loser = rr, rrTime, nrTime
-		variant = plancache.Full
-	}
-	if flops := kernels.Flops(o.nr.Matrix().NNZ(), k); flops > 0 {
-		o.loserNSPerFlop = float64(loser.Nanoseconds()) / flops
-	}
-	o.planFP = plancache.Fingerprint(o.nr.Matrix(), o.nr.plan.Cfg, variant)
-	o.winner.Store(w)
-	recordTrial(w == rr, rrTime, nrTime)
-	detail := "plain"
-	if w == rr {
-		detail = "reordered"
-	}
-	speedup := 0.0
-	if won > 0 {
-		speedup = float64(loser) / float64(won)
-	}
-	o.sink.Load().emit(obs.Event{
-		Type:   obs.EventTrialWinner,
-		PlanFP: o.planFP,
-		Kernel: w.Kernel().String(),
-		Detail: detail,
-		Value:  speedup,
-	})
-	return w
-}
-
-// observeServe accumulates one successful decided SpMM call into the
-// feedback window and evaluates the window when it fills. Atomics
-// only — this sits on the zero-allocation serving fast path.
-func (o *OnlinePipeline) observeServe(d time.Duration, k int) {
-	if o.fbWindow <= 0 {
-		return
-	}
-	o.fbNS.Add(d.Nanoseconds())
-	o.fbFlops.Add(int64(kernels.Flops(o.nr.Matrix().NNZ(), k)))
-	if n := o.fbCount.Add(1); n%o.fbWindow == 0 {
-		o.evaluateWindow()
-	}
-}
-
-// evaluateWindow drains one feedback window and flags a mispick when
-// the observed serving cost per flop exceeds the trial loser's by more
-// than mispickSlack. Observability only: the winner never flips.
-func (o *OnlinePipeline) evaluateWindow() {
-	ns := o.fbNS.Swap(0)
-	flops := o.fbFlops.Swap(0)
-	base := o.loserNSPerFlop // decided: safe via winner's release-acquire
-	if base <= 0 || ns <= 0 || flops <= 0 {
-		return // degraded pipeline or unmeasured trial: no baseline
-	}
-	observed := float64(ns) / float64(flops)
-	if observed <= mispickSlack*base {
-		return
-	}
-	o.mispicks.Add(1)
-	recordMispick()
-	o.sink.Load().emit(obs.Event{
-		Type:   obs.EventMispick,
-		PlanFP: o.planFP,
-		Kernel: o.winner.Load().Kernel().String(),
-		Detail: "serving cost/flop exceeded trial loser",
-		Value:  observed / base,
-	})
-}
-
-// Mispicked returns how many feedback windows observed the serving
-// plan underperforming the measured trial loser (see DESIGN.md §16).
-func (o *OnlinePipeline) Mispicked() int64 { return o.mispicks.Load() }
-
-// PlanFingerprint returns the plan-cache fingerprint of the winning
-// plan once the trial has decided ("" before, and "" for a degraded
-// pipeline — no trial ever measured its plan).
-func (o *OnlinePipeline) PlanFingerprint() string {
-	if o.winner.Load() == nil {
-		return ""
-	}
-	return o.planFP
-}
-
-// setEventSink routes this pipeline's decision events (trial winner,
-// mispick) to ring, labelled with tenant. nil rings are ignored.
-func (o *OnlinePipeline) setEventSink(ring *obs.EventRing, tenant string) {
-	if ring == nil {
-		return
-	}
-	o.sink.Store(&eventSink{ring: ring, tenant: tenant})
-}
-
-// setMispickWindow overrides the feedback evaluation window (samples
-// per evaluation; <=0 restores the default). Call before serving.
-func (o *OnlinePipeline) setMispickWindow(n int) {
-	if n <= 0 {
-		n = defaultMispickWindow
-	}
-	o.fbWindow = int64(n)
 }

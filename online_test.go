@@ -12,17 +12,27 @@ import (
 
 var errDiverged = errors.New("concurrent result diverged from reference")
 
+// TestOnlinePipelineDecides: the synchronous constructor runs the §4
+// trial before it returns, so the pipeline is decided — with measured
+// trial times and an exposed winner — before any call is served.
 func TestOnlinePipelineDecides(t *testing.T) {
 	m := scrambled(t)
 	o, err := repro.NewOnlinePipeline(m, repro.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if done, _ := o.Decided(); done {
-		t.Fatalf("decided before first call")
+	if done, _ := o.Decided(); !done {
+		t.Fatalf("not decided after construction")
 	}
-	if o.Pipeline() != nil {
-		t.Fatalf("winner exposed before decision")
+	rrT, nrT := o.TrialTimes()
+	if rrT <= 0 || nrT <= 0 {
+		t.Fatalf("trial times not recorded: %v %v", rrT, nrT)
+	}
+	if o.Pipeline() == nil {
+		t.Fatalf("no winner exposed")
+	}
+	if o.PlanFingerprint() == "" {
+		t.Fatalf("no winner fingerprint")
 	}
 	x := repro.NewRandomDense(m.Cols, 16, 1)
 	want, err := repro.SpMM(m, x)
@@ -33,18 +43,6 @@ func TestOnlinePipelineDecides(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	done, _ := o.Decided()
-	if !done {
-		t.Fatalf("first call did not decide")
-	}
-	rrT, nrT := o.TrialTimes()
-	if rrT <= 0 || nrT <= 0 {
-		t.Fatalf("trial times not recorded: %v %v", rrT, nrT)
-	}
-	if o.Pipeline() == nil {
-		t.Fatalf("no winner exposed")
-	}
-	// Correctness in both the deciding and the decided calls.
 	y2, err := o.SpMM(x)
 	if err != nil {
 		t.Fatal(err)
@@ -57,13 +55,14 @@ func TestOnlinePipelineDecides(t *testing.T) {
 	}
 }
 
-// TestOnlinePipelineConcurrentUndecided hammers a fresh (undecided)
-// pipeline from many goroutines: exactly one runs the trial, the rest
-// either wait it out or take the decided fast path, and every result
-// must be correct. Run under -race (see `make race`).
+// TestOnlinePipelineConcurrentUndecided hammers a pipeline from the
+// budgeted constructor from many goroutines while its reordered build
+// and trial may still be running in the background: calls never wait
+// on the build, every result must be correct whichever plan served it,
+// and the build still settles undegraded. Run under -race.
 func TestOnlinePipelineConcurrentUndecided(t *testing.T) {
-	m := scrambled(t)
-	o, err := repro.NewOnlinePipeline(m, repro.DefaultConfig())
+	m := freshScrambled(t, 1009)
+	o, err := repro.NewOnlinePipelineCtx(context.Background(), m, repro.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,14 +93,24 @@ func TestOnlinePipelineConcurrentUndecided(t *testing.T) {
 			}
 		}
 	}
+	if err := o.WaitPreprocessed(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	if done, _ := o.Decided(); !done {
-		t.Fatalf("concurrent first calls did not decide")
+		t.Fatalf("build settled but the pipeline is not decided")
+	}
+	if deg, cause := o.Degraded(); deg {
+		t.Fatalf("unbudgeted build degraded: %v", cause)
+	}
+	if rrT, nrT := o.TrialTimes(); rrT <= 0 || nrT <= 0 {
+		t.Fatalf("trial times not recorded: %v %v", rrT, nrT)
 	}
 }
 
-// TestOnlinePipelineConcurrentDecided checks the lock-free fast path:
-// once decided, ≥8 goroutines call SpMM (and SpMMIntoCtx) concurrently and
-// repeatedly; all results must be correct and no state may race.
+// TestOnlinePipelineConcurrentDecided checks the lock-free serving
+// path: ≥8 goroutines call a freshly constructed pipeline's SpMM (and
+// SpMMIntoCtx) concurrently and repeatedly, with no call before them;
+// all results must be correct and no state may race.
 func TestOnlinePipelineConcurrentDecided(t *testing.T) {
 	m := scrambled(t)
 	o, err := repro.NewOnlinePipeline(m, repro.DefaultConfig())
@@ -109,12 +118,6 @@ func TestOnlinePipelineConcurrentDecided(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := repro.NewRandomDense(m.Cols, 16, 1)
-	if _, err := o.SpMM(x); err != nil { // decide
-		t.Fatal(err)
-	}
-	if done, _ := o.Decided(); !done {
-		t.Fatalf("not decided after first call")
-	}
 	want, err := repro.SpMM(m, x)
 	if err != nil {
 		t.Fatal(err)
@@ -157,8 +160,8 @@ func TestOnlinePipelineConcurrentDecided(t *testing.T) {
 	}
 }
 
-// TestOnlinePipelineIntoVariants checks the Into entry points on both
-// the undecided (trial) and decided paths, including output validation.
+// TestOnlinePipelineIntoVariants checks the Into entry points,
+// including output validation.
 func TestOnlinePipelineIntoVariants(t *testing.T) {
 	m := scrambled(t)
 	o, err := repro.NewOnlinePipeline(m, repro.DefaultConfig())
@@ -172,19 +175,13 @@ func TestOnlinePipelineIntoVariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	y := repro.NewDense(m.Rows, 8)
-	if err := o.SpMMIntoCtx(context.Background(), y, x); err != nil { // undecided path decides
+	if err := o.SpMMIntoCtx(context.Background(), y, x); err != nil {
 		t.Fatal(err)
-	}
-	if done, _ := o.Decided(); !done {
-		t.Fatalf("SpMMIntoCtx did not decide")
 	}
 	for i := range want.Data {
 		if math.Abs(float64(want.Data[i]-y.Data[i])) > 1e-4 {
-			t.Fatalf("trial SpMMIntoCtx diverges at %d", i)
+			t.Fatalf("SpMMIntoCtx diverges at %d", i)
 		}
-	}
-	if err := o.SpMMIntoCtx(context.Background(), y, x); err != nil { // decided path
-		t.Fatal(err)
 	}
 	if err := o.SpMMIntoCtx(context.Background(), repro.NewDense(m.Rows+1, 8), x); err == nil {
 		t.Fatalf("accepted wrong-shaped output")
@@ -232,19 +229,11 @@ func TestOnlinePipelineSDDMM(t *testing.T) {
 			t.Fatalf("online SDDMM diverges at %d", j)
 		}
 	}
-	if done, _ := o.Decided(); !done {
-		t.Fatalf("SDDMM first call did not decide")
-	}
-	// Second call goes through the winner path.
-	if _, err := o.SDDMM(x, y); err != nil {
-		t.Fatal(err)
-	}
 }
 
-// TestOnlinePipelineRejectsBadOutputBeforeTrial: on an undecided
-// pipeline a malformed output is rejected before the trial, so the
-// request neither runs four kernel passes under the decision lock nor
-// publishes a winner.
+// TestOnlinePipelineRejectsBadOutputBeforeTrial: the trial ran at
+// construction on its own operand, before any request; a malformed
+// output is rejected and leaves that decision exactly as it was.
 func TestOnlinePipelineRejectsBadOutputBeforeTrial(t *testing.T) {
 	m := scrambled(t)
 	x := repro.NewRandomDense(m.Cols, 8, 4)
@@ -262,11 +251,16 @@ func TestOnlinePipelineRejectsBadOutputBeforeTrial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		_, won := o.Decided()
+		rrT, nrT := o.TrialTimes()
+		fp := o.PlanFingerprint()
 		if err := call(o); err == nil {
 			t.Fatalf("%s: accepted a malformed output", name)
 		}
-		if done, _ := o.Decided(); done {
-			t.Fatalf("%s: a rejected request decided the trial", name)
+		_, won2 := o.Decided()
+		rrT2, nrT2 := o.TrialTimes()
+		if won2 != won || rrT2 != rrT || nrT2 != nrT || o.PlanFingerprint() != fp {
+			t.Fatalf("%s: a rejected request changed the trial decision", name)
 		}
 	}
 }

@@ -152,14 +152,8 @@ type ServerConfig struct {
 	SLOWindow int
 	// EventRing bounds the structured decision-event ring served at
 	// /debug/events (trial winners, plan swaps, breaker transitions,
-	// quarantines, mispicks, SLO burns; most recent first). Default 256.
+	// quarantines, SLO burns; most recent first). Default 256.
 	EventRing int
-	// MispickWindow is the autotuner feedback window: every this many
-	// decided serving calls per tenant, the observed cost per flop is
-	// compared against the trial loser's, and a window where the chosen
-	// plan underperforms counts as a mispick (observability only).
-	// Default 64.
-	MispickWindow int
 }
 
 // liveConfig is the per-tenant mutation tuning carved out of the
@@ -215,9 +209,6 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	}
 	if c.EventRing <= 0 {
 		c.EventRing = 256
-	}
-	if c.MispickWindow <= 0 {
-		c.MispickWindow = defaultMispickWindow
 	}
 	return c
 }
@@ -552,7 +543,7 @@ func NewServer(ctx context.Context, m *Matrix, cfg Config, scfg ServerConfig) (*
 		}
 		s.def = s.newTenant(DefaultTenant, 1, nil, sharded)
 	} else {
-		pipe, err := newOnlinePipelineCtx(sctx, m, cfg, traces)
+		pipe, err := newOnlinePipelineCtx(sctx, m, cfg, traces, s.sink(DefaultTenant))
 		if err != nil {
 			cancel()
 			return nil, err
@@ -621,9 +612,7 @@ func (s *Server) newTenant(id string, weight int64, online *OnlinePipeline, shar
 	if weight < 1 {
 		weight = 1
 	}
-	live := newLive(s.baseCtx, online, sharded, s.cfg.ShardNNZ, s.cfg.liveConfig(), s.traces)
-	live.setEventSink(s.events, id)
-	live.setMispickWindow(s.cfg.MispickWindow)
+	live := newLive(s.baseCtx, online, sharded, s.cfg.ShardNNZ, s.cfg.liveConfig(), s.traces, s.sink(id))
 	t := &tenant{id: id, weight: weight, live: live,
 		integ: integrity.NewMonitor(s.cfg.VerifyFraction, s.cfg.ProbationRequests),
 		slo:   newSLOWindow(s.cfg.SLOTarget, s.cfg.SLOWindow)}
@@ -756,11 +745,13 @@ func (s *Server) newTenant(id string, weight int64, online *OnlinePipeline, shar
 	s.reg.CounterFunc("spmmrr_slo_violations_total",
 		"Requests that failed or exceeded the SLO latency target.",
 		func() int64 { return t.slo.violationTotal() }, obs.L("tenant", id))
-	s.reg.CounterFunc("spmmrr_tenant_mispicks_total",
-		"Autotuner feedback windows where the tenant's serving plan underperformed the trial loser.",
-		func() int64 { return live.Mispicked() }, obs.L("tenant", id))
 	return t
 }
+
+// sink returns the decision-event sink for tenant id. The tenant's
+// online base is built with it, so its trial_winner event always has a
+// ring to land in.
+func (s *Server) sink(id string) *eventSink { return &eventSink{ring: s.events, tenant: id} }
 
 // AddTenant registers a second matrix under id, served through the
 // same admission gate, breaker, retry policy, and (when configured)
@@ -796,7 +787,7 @@ func (s *Server) AddTenant(ctx context.Context, id string, m *Matrix, cfg Config
 		}
 		t = s.newTenant(id, weight, nil, sharded)
 	} else {
-		online, err := newOnlinePipelineCtx(s.baseCtx, m, cfg, s.traces)
+		online, err := newOnlinePipelineCtx(s.baseCtx, m, cfg, s.traces, s.sink(id))
 		if err != nil {
 			return err
 		}
@@ -946,7 +937,7 @@ func (s *Server) Traces() *obs.TraceRing { return s.traces }
 // Events exposes the Server's structured decision-event ring (most
 // recent first), the source of /debug/events: trial winners, plan
 // swaps, overlay degradations, breaker transitions, quarantines,
-// reinstatements, autotuner mispicks, and SLO budget burns.
+// reinstatements, and SLO budget burns.
 func (s *Server) Events() *obs.EventRing { return s.events }
 
 // ObsHandler returns the Server's observability HTTP handler:
@@ -1297,8 +1288,8 @@ func (s *Server) do(ctx context.Context, t *tenant, op string, hist *obs.Histogr
 // healthy request upgrades to modeVerify. The breaker is then
 // consulted only when the call would actually exercise the reordered
 // path: a sharded tenant (every panel autotunes its own plan, no
-// matrix-wide reorder trial), a degraded pipeline, a trial already
-// decided for no-reorder, or a reordered build still in flight all
+// matrix-wide reorder trial), a degraded pipeline, a trial decided
+// for no-reorder, or a build whose trial has not yet decided all
 // serve without the reordered plan, and their outcomes must not open
 // (or close) the reordered path's circuit. A verification mismatch is
 // likewise excluded from breaker accounting: the quarantine owns that
@@ -1345,22 +1336,12 @@ func (s *Server) attempt(ctx context.Context, t *tenant, run func(context.Contex
 }
 
 // reorderedPathActive reports whether a full-path call for t right now
-// would execute the reordered plan (as the decided winner, or inside
-// the first-call trial).
+// would execute the reordered plan. Sharded tenants (panels autotune,
+// no reorder trial), builds still in flight, degraded pipelines and
+// trials decided for no-reorder all serve the no-reorder plan.
 func reorderedPathActive(t *tenant) bool {
 	o := t.live.Online()
-	if o == nil {
-		return false // sharded: panels autotune, no reorder trial
-	}
-	if d, _ := o.Degraded(); d {
-		return false
-	}
-	rr := o.rr.Load()
-	if rr == nil {
-		return false // still building: calls serve the no-reorder plan
-	}
-	w := o.winner.Load()
-	return w == nil || w == rr
+	return o != nil && o.serving.Load() != o.nr
 }
 
 // Mutate applies one mutation batch to the default tenant's live

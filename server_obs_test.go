@@ -14,8 +14,8 @@ import (
 )
 
 // obsTestServer builds a decided, warm Server for observability tests:
-// the reordered build has landed and the first-call trial has run, so
-// requests take the steady-state path.
+// the reordered build has landed, its trial has decided, and one
+// request has warmed the kernel pools.
 // Each test passes a distinct seed so its matrix misses the
 // process-wide plan cache and triggers a real background build.
 func obsTestServer(t *testing.T, seed int64) (*repro.Server, *repro.Dense) {
@@ -113,12 +113,10 @@ func TestServerMetricsFamilies(t *testing.T) {
 		`spmmrr_kernel_passes_total{kernel="spmm_aspt"}`,
 		`spmmrr_kernel_gflops{kernel="spmm_aspt"}`,
 		`spmmrr_kernel_gbps{kernel="spmm_aspt"}`,
-		"spmmrr_autotune_mispick_total",
 		`spmmrr_slo_p50_seconds{tenant="default"}`,
 		`spmmrr_slo_p99_seconds{tenant="default"}`,
 		`spmmrr_slo_burn_rate{tenant="default"}`,
 		`spmmrr_slo_violations_total{tenant="default"}`,
-		`spmmrr_tenant_mispicks_total{tenant="default"}`,
 	} {
 		if _, ok := samples[want]; !ok {
 			t.Fatalf("/metrics missing required series %q:\n%s", want, body)
@@ -341,7 +339,7 @@ func TestServerExplainAndEventsEndpoints(t *testing.T) {
 	}
 	for _, key := range []string{
 		"tenant", "mode", "plan_fingerprint", "kernel", "kernel_verdict",
-		"features", "trial", "mispicks", "live", "integrity",
+		"features", "trial", "live", "integrity",
 		"kernel_attribution", "slo",
 	} {
 		if _, ok := doc[key]; !ok {
@@ -384,5 +382,41 @@ func TestServerExplainAndEventsEndpoints(t *testing.T) {
 	}
 	if got := s.Pipeline().PlanFingerprint(); trial.PlanFP != got {
 		t.Fatalf("event fingerprint %q, pipeline %q", trial.PlanFP, got)
+	}
+}
+
+// A tenant added with AddTenant decides its trial in the background
+// build, before any request: once WaitPreprocessed returns, the event
+// ring already holds its trial_winner event, labelled with the tenant
+// and carrying the fingerprint of the plan it serves.
+func TestAddTenantTrialWinnerEventBeforeFirstRequest(t *testing.T) {
+	s, _ := obsTestServer(t, 7011)
+	const id = "added"
+	if err := s.AddTenant(context.Background(), id, freshScrambled(t, 7012), repro.DefaultConfig(), 1); err != nil {
+		t.Fatal(err)
+	}
+	lp, err := s.LiveTenant(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := lp.Online()
+	if err := o.WaitPreprocessed(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := s.TenantStats(id); st.Admitted != 0 {
+		t.Fatalf("tenant served %d requests; want none", st.Admitted)
+	}
+	var found *obs.Event
+	for _, e := range s.Events().Snapshot() {
+		if e.Type == obs.EventTrialWinner && e.Tenant == id {
+			found = &e
+			break
+		}
+	}
+	if found == nil {
+		t.Fatalf("no trial_winner event for %q: %+v", id, s.Events().Snapshot())
+	}
+	if fp := o.PlanFingerprint(); fp == "" || found.PlanFP != fp {
+		t.Fatalf("event fingerprint %q, pipeline %q", found.PlanFP, fp)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/obs"
 )
 
 // waitForStat polls cond until it holds or the deadline passes.
@@ -488,5 +489,62 @@ func TestServerTenantRoutingAndStats(t *testing.T) {
 	}
 	if _, ok := s.TenantStats("nope"); ok {
 		t.Fatal("TenantStats for an unknown id reported ok")
+	}
+}
+
+// TestServerRebuildDecidesBeforeSwap: a structural mutation's
+// background rebuild runs the §4 trial before it publishes, so after
+// WaitRebuilt — with no request served — the new base is already
+// decided with measured trial times, and the tenant has one
+// trial_winner event for its first base plus one per swap.
+func TestServerRebuildDecidesBeforeSwap(t *testing.T) {
+	s, _ := obsTestServer(t, 3011)
+	const id = "rebuilt"
+	m := freshScrambled(t, 3012)
+	if err := s.AddTenant(context.Background(), id, m, repro.DefaultConfig(), 1); err != nil {
+		t.Fatal(err)
+	}
+	lp, err := s.LiveTenant(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := lp.Online()
+	if err := first.WaitPreprocessed(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	row := repro.RowDef{Cols: []int32{0, 1}, Vals: []float32{1, 2}}
+	if err := s.MutateTenant(context.Background(), id, repro.Mutation{
+		ReplaceRows: []repro.RowUpdate{{Row: 3, Def: row}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := lp.WaitRebuilt(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	st := lp.Stats()
+	if st.Swaps == 0 || st.Degraded {
+		t.Fatalf("structural mutation did not swap in a rebuilt base: %+v", st)
+	}
+	if ts, _ := s.TenantStats(id); ts.Admitted != 0 {
+		t.Fatalf("tenant served %d requests; want none", ts.Admitted)
+	}
+	o := lp.Online()
+	if o == first {
+		t.Fatal("base not replaced by the swap")
+	}
+	if done, _ := o.Decided(); !done {
+		t.Fatal("swapped-in base is undecided")
+	}
+	if rrT, nrT := o.TrialTimes(); rrT <= 0 || nrT <= 0 {
+		t.Fatalf("swapped-in base has no trial times: %v %v", rrT, nrT)
+	}
+	var winners int64
+	for _, e := range s.Events().Snapshot() {
+		if e.Type == obs.EventTrialWinner && e.Tenant == id {
+			winners++
+		}
+	}
+	if winners != 1+st.Swaps {
+		t.Fatalf("trial_winner events %d, want 1 + %d swaps", winners, st.Swaps)
 	}
 }

@@ -266,6 +266,11 @@ func TestServerBreakerTripsAndRecovers(t *testing.T) {
 	if deg, cause := s.Pipeline().Degraded(); deg {
 		t.Fatalf("unexpected degradation: %v", cause)
 	}
+	// The breaker guards only the reordered path; pin it whichever plan
+	// the trial measured faster here.
+	if err := repro.ServeReorderedForTest(s.Pipeline()); err != nil {
+		t.Fatal(err)
+	}
 
 	x := repro.NewRandomDense(m.Cols, 8, 26)
 	want, err := repro.SpMM(m, x)
