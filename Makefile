@@ -67,13 +67,14 @@ obs-smoke:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Preprocessing-engine scaling + plan-cache benches, emitted as
-# machine-readable JSON (BENCH_preprocess.json). Override the flags for
+# Preprocessing-engine scaling, per-family (perfbench matrix shapes)
+# stage times + plan-cache benches, emitted as machine-readable JSON
+# (BENCH_preprocess.json). Override the flags for
 # a quick smoke run, e.g.:
 #   make bench-preprocess BENCH_PREPROCESS_FLAGS="-short -benchtime 1x"
 BENCH_PREPROCESS_FLAGS ?= -benchtime 1s
 bench-preprocess:
-	$(GO) test -run '^$$' -bench 'PreprocessWorkers|TilingWorkers|Cache' -benchmem \
+	$(GO) test -run '^$$' -bench 'PreprocessWorkers|PreprocessFamilies|TilingWorkers|Cache' -benchmem \
 		$(BENCH_PREPROCESS_FLAGS) ./internal/reorder/ ./internal/plancache/ \
 		| $(GO) run ./cmd/benchjson -out BENCH_preprocess.json
 	@echo "wrote BENCH_preprocess.json"

@@ -3,6 +3,7 @@ package repro_test
 import (
 	"context"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -164,6 +165,20 @@ func TestServerIntegritySoak(t *testing.T) {
 		}
 		preInjected := integrity.InjectedCount()
 
+		// Hold every rebuild at its start until a request has been
+		// compared inside the quarantine below: the healing swap then
+		// cannot close the quarantine window first, however fast
+		// preprocessing is. A rebuild left over from the previous
+		// episode finishes first.
+		if err := live.WaitRebuilt(ctx); err != nil {
+			t.Fatal(err)
+		}
+		gate := make(chan struct{})
+		unhold := faultinject.Set("live.rebuild.start", func() error { <-gate; return nil })
+		var releaseOnce sync.Once
+		release := func() { releaseOnce.Do(func() { unhold(); close(gate) }) }
+		t.Cleanup(release) // runs before the server's Close cleanup
+
 		// Detect: arm the site and serve until the quarantine opens.
 		// Triggered sites re-fire their activation path only if the
 		// previous one was consumed without an injection landing (e.g.
@@ -190,11 +205,11 @@ func TestServerIntegritySoak(t *testing.T) {
 		}
 
 		// Quarantined serving must be bit-identical to the reference
-		// kernel on the current matrix — the detection request's rebuild
-		// needs a full re-preprocess, so there is a real window here. A
-		// comparison only counts when the request provably ran entirely
-		// inside quarantine: state Quarantined before and after, and no
-		// plan swap or re-skin in between (baseGen pinned).
+		// kernel on the current matrix — the healing rebuild is held at
+		// its start, so there is a real window here. A comparison only
+		// counts when the request provably ran entirely inside
+		// quarantine: state Quarantined before and after, and no plan
+		// swap or re-skin in between (baseGen pinned).
 		compared := false
 		for i := 0; i < 50 && !compared; i++ {
 			ig0, lst0 := integ(), live.Stats()
@@ -243,6 +258,7 @@ func TestServerIntegritySoak(t *testing.T) {
 		if !compared {
 			t.Fatalf("episode %s: no request landed fully inside quarantine (rebuild swapped too fast?)", ep.name)
 		}
+		release()
 
 		// Heal: keep serving; once the rebuild swaps fresh plans in, the
 		// monitor moves to probation and the clean window reinstates.

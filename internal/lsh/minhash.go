@@ -273,9 +273,9 @@ func PairsFromSignaturesCtx(ctx context.Context, m *sparse.CSR, sigs *Signatures
 // receives the Banding/Scoring wall-clock split.
 //
 // The candidate set is deduplicated without any shared map: every
-// worker keeps its candidate keys as a sorted unique slice (per band it
-// appends into a reusable scratch slice, sorts, compacts, and merges
-// into its accumulator), and the workers' slices meet in a k-way merge.
+// worker keeps its candidate keys as a sorted unique slice (each band's
+// keys come out of bandBuckets already sorted and unique, and are merged
+// into the accumulator), and the workers' slices meet in a k-way merge.
 // The union of per-band key sets is independent of how bands were dealt
 // to workers, so the merged sequence — and everything downstream — is
 // identical for every worker count.
@@ -308,16 +308,7 @@ func pairsFromSignatures(ctx context.Context, m *sparse.CSR, sigs *Signatures, p
 	workerKeys := make([][]uint64, workers)
 	err := par.DoCtx(ctx, workers, func(w int) error {
 		var acc, band, mergeBuf []uint64
-		buckets := make(map[uint64][]int32)
-		addKey := func(i, j int32) {
-			if i == j {
-				return
-			}
-			if i > j {
-				i, j = j, i
-			}
-			band = append(band, uint64(uint32(i))<<32|uint64(uint32(j)))
-		}
+		var bk bandBuckets
 		for b := w; b < nbands; b += workers {
 			if err := par.CtxErr(ctx); err != nil {
 				return err
@@ -325,43 +316,8 @@ func pairsFromSignatures(ctx context.Context, m *sparse.CSR, sigs *Signatures, p
 			if err := faultinject.Fire("lsh.banding"); err != nil {
 				return err
 			}
-			clear(buckets)
-			band = band[:0] // reuse the band scratch's backing storage
-			for i := 0; i < m.Rows; i++ {
-				// Empty rows are skipped: their all-max signatures
-				// would otherwise all collide.
-				if m.RowLen(i) == 0 {
-					continue
-				}
-				sig := sigs.Row(i)[b*p.BandSize : (b+1)*p.BandSize]
-				h := uint64(0xcbf29ce484222325)
-				for _, v := range sig {
-					h ^= uint64(v)
-					h *= 0x100000001b3
-				}
-				buckets[h] = append(buckets[h], int32(i))
-			}
-			for _, rows := range buckets {
-				if len(rows) < 2 {
-					continue
-				}
-				if len(rows) > maxBucket {
-					// Chain consecutive members only: similar rows
-					// stay connected transitively through the
-					// clustering while avoiding O(B²) pair blowup.
-					for k := 0; k+1 < len(rows); k++ {
-						addKey(rows[k], rows[k+1])
-					}
-					continue
-				}
-				for a := 0; a < len(rows); a++ {
-					for b2 := a + 1; b2 < len(rows); b2++ {
-						addKey(rows[a], rows[b2])
-					}
-				}
-			}
-			slices.Sort(band)
-			band = slices.Compact(band)
+			bk.fill(m, sigs, b*p.BandSize, p.BandSize)
+			band = bk.appendKeys(band[:0], maxBucket)
 			acc, mergeBuf = mergeSortedUnique(mergeBuf[:0], acc, band), acc
 		}
 		workerKeys[w] = acc
@@ -416,6 +372,98 @@ func pairsFromSignatures(ctx context.Context, m *sparse.CSR, sigs *Signatures, p
 	return out, nil
 }
 
+// bandBuckets groups the rows of one band by band hash. It is one
+// band worker's scratch, reused band after band, so steady-state
+// banding allocates nothing. Buckets are numbered in order of their
+// smallest row, and order lists the rows bucket by bucket, each bucket
+// ascending (a stable counting sort of rows by bucket id).
+type bandBuckets struct {
+	id       map[uint64]int32 // band hash -> bucket id
+	bucketOf []int32          // row -> bucket id, -1 for an empty row
+	start    []int32          // bucket id -> offset of its rows in order
+	order    []int32          // rows grouped by bucket, ascending within
+	posOf    []int32          // row -> its index in order
+}
+
+// fill buckets every non-empty row of m by the hash of its signature
+// entries [lo, lo+n). Empty rows are skipped: their all-max signatures
+// would otherwise all collide.
+func (bk *bandBuckets) fill(m *sparse.CSR, sigs *Signatures, lo, n int) {
+	rows := m.Rows
+	if bk.id == nil {
+		bk.id = make(map[uint64]int32)
+		bk.bucketOf = make([]int32, rows)
+		bk.start = make([]int32, rows+1)
+		bk.order = make([]int32, rows)
+		bk.posOf = make([]int32, rows)
+	}
+	clear(bk.id)
+	nb := int32(0)
+	for i := 0; i < rows; i++ {
+		if m.RowLen(i) == 0 {
+			bk.bucketOf[i] = -1
+			continue
+		}
+		h := uint64(0xcbf29ce484222325)
+		for _, v := range sigs.Row(i)[lo : lo+n] {
+			h ^= uint64(v)
+			h *= 0x100000001b3
+		}
+		id, ok := bk.id[h]
+		if !ok {
+			id = nb
+			bk.id[h] = id
+			nb++
+		}
+		bk.bucketOf[i] = id
+	}
+	start := bk.start[:nb+1]
+	clear(start)
+	for _, id := range bk.bucketOf {
+		if id >= 0 {
+			start[id+1]++
+		}
+	}
+	for b := int32(1); b <= nb; b++ {
+		start[b] += start[b-1]
+	}
+	// Place rows in ascending order; start[id] advances to the end of
+	// bucket id, so afterwards start[id] is where bucket id+1 begins.
+	for i, id := range bk.bucketOf {
+		if id >= 0 {
+			bk.order[start[id]] = int32(i)
+			bk.posOf[i] = start[id]
+			start[id]++
+		}
+	}
+	copy(start[1:], start[:nb])
+	start[0] = 0
+}
+
+// appendKeys appends the band's candidate keys (i<<32 | j with i < j)
+// to dst in ascending order. Each row i pairs with every later member j
+// of its bucket, or, in a bucket larger than maxBucket, only with the
+// next one: chaining consecutive members keeps similar rows connected
+// transitively through the clustering while avoiding O(B²) pair
+// blowup. Rows are walked in ascending order and each row sits in one
+// bucket, so the keys come out sorted and unique.
+func (bk *bandBuckets) appendKeys(dst []uint64, maxBucket int) []uint64 {
+	for i, id := range bk.bucketOf {
+		if id < 0 {
+			continue
+		}
+		lo, hi := bk.start[id], bk.start[id+1]
+		p := bk.posOf[i] + 1
+		if hi-lo > int32(maxBucket) && p < hi {
+			hi = p + 1
+		}
+		for _, j := range bk.order[p:hi] {
+			dst = append(dst, uint64(uint32(i))<<32|uint64(uint32(j)))
+		}
+	}
+	return dst
+}
+
 // mergeSortedUnique merges two sorted unique slices into dst (reset by
 // the caller), dropping cross-slice duplicates.
 func mergeSortedUnique(dst, a, b []uint64) []uint64 {
@@ -468,32 +516,19 @@ func mergeWorkerKeys(ctx context.Context, parts [][]uint64) ([]uint64, error) {
 	return parts[0], nil
 }
 
-// cmpPair is the canonical candidate-pair order: similarity descending,
-// then (I, J) ascending — a total order because (I, J) keys are unique.
-func cmpPair(a, b pairheap.Pair) int {
-	switch {
-	case a.Sim > b.Sim:
-		return -1
-	case a.Sim < b.Sim:
-		return 1
-	case a.I != b.I:
-		return int(a.I - b.I)
-	default:
-		return int(a.J - b.J)
-	}
-}
-
-// sortPairs sorts ps by cmpPair with a parallel merge sort: equal chunks
-// are slices.SortFunc-ed concurrently, then merged in parallel pairwise
-// rounds. The comparator is a total order, so the result is identical
-// for every worker count (and to a plain serial sort).
+// sortPairs sorts ps into the canonical candidate-pair order,
+// pairheap.Compare (the order Alg 3's queue pops in), with a parallel
+// merge sort: equal chunks are slices.SortFunc-ed concurrently, then
+// merged in parallel pairwise rounds. The comparator is a total order
+// because (I, J) keys are unique, so the result is identical for every
+// worker count (and to a plain serial sort).
 func sortPairs(ps []pairheap.Pair, workers int) {
 	const minParallelSort = 1 << 14
 	if workers > len(ps)/minParallelSort {
 		workers = len(ps) / minParallelSort
 	}
 	if workers <= 1 {
-		slices.SortFunc(ps, cmpPair)
+		slices.SortFunc(ps, pairheap.Compare)
 		return
 	}
 	chunk := (len(ps) + workers - 1) / workers
@@ -508,7 +543,7 @@ func sortPairs(ps []pairheap.Pair, workers int) {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			slices.SortFunc(ps[lo:hi], cmpPair)
+			slices.SortFunc(ps[lo:hi], pairheap.Compare)
 		}(lo, hi)
 	}
 	wg.Wait()
@@ -540,12 +575,12 @@ func sortPairs(ps []pairheap.Pair, workers int) {
 	}
 }
 
-// mergePairs merges two cmpPair-sorted runs into dst (len(dst) ==
-// len(a)+len(b)).
+// mergePairs merges two pairheap.Compare-sorted runs into dst
+// (len(dst) == len(a)+len(b)).
 func mergePairs(dst, a, b []pairheap.Pair) {
 	k := 0
 	for len(a) > 0 && len(b) > 0 {
-		if cmpPair(a[0], b[0]) <= 0 {
+		if pairheap.Compare(a[0], b[0]) <= 0 {
 			dst[k] = a[0]
 			a = a[1:]
 		} else {

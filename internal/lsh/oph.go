@@ -46,6 +46,7 @@ func ComputeSignaturesOPHCtx(ctx context.Context, m *sparse.CSR, p Params) (*Sig
 		if err := faultinject.Fire("lsh.signatures"); err != nil {
 			return err
 		}
+		src := make([]uint32, p.SigLen) // densify scratch, one per block
 		for i := lo; i < hi; i++ {
 			row := sigs.Row(i)
 			for k := range row {
@@ -60,7 +61,7 @@ func ComputeSignaturesOPHCtx(ctx context.Context, m *sparse.CSR, p Params) (*Sig
 					row[bin] = v
 				}
 			}
-			densify(row)
+			densify(row, src)
 		}
 		return nil
 	})
@@ -77,8 +78,9 @@ func ComputeSignaturesOPHCtx(ctx context.Context, m *sparse.CSR, p Params) (*Sig
 // distance, keeping the per-bin collision probability close to the
 // Jaccard similarity. A row with no nonzeros keeps all-max signatures
 // (it never collides, matching ComputeSignatures). Bins are few
-// (SigLen), so the circular scan is cheap.
-func densify(row []uint32) {
+// (SigLen), so the circular scan is cheap. src is caller scratch of
+// len(row) that receives a copy of the undensified row.
+func densify(row, src []uint32) {
 	n := len(row)
 	anyFilled := false
 	for _, v := range row {
@@ -90,7 +92,6 @@ func densify(row []uint32) {
 	if !anyFilled {
 		return
 	}
-	src := make([]uint32, n)
 	copy(src, row)
 	for k := 0; k < n; k++ {
 		if src[k] != math.MaxUint32 {

@@ -106,8 +106,11 @@ func TestOPHWorksWithBanding(t *testing.T) {
 }
 
 func TestDensify(t *testing.T) {
+	// One scratch buffer serves every call, as in
+	// ComputeSignaturesOPHCtx: stale contents must not leak through.
+	src := make([]uint32, 4)
 	row := []uint32{5, math.MaxUint32, math.MaxUint32, 9}
-	densify(row)
+	densify(row, src)
 	for k, v := range row {
 		if v == math.MaxUint32 {
 			t.Fatalf("bin %d left empty", k)
@@ -120,8 +123,8 @@ func TestDensify(t *testing.T) {
 	// Equal rows densify identically.
 	a := []uint32{5, math.MaxUint32, 7, math.MaxUint32}
 	b := []uint32{5, math.MaxUint32, 7, math.MaxUint32}
-	densify(a)
-	densify(b)
+	densify(a, src)
+	densify(b, src)
 	for k := range a {
 		if a[k] != b[k] {
 			t.Fatalf("densify not deterministic at %d", k)
@@ -129,7 +132,7 @@ func TestDensify(t *testing.T) {
 	}
 	// All-empty rows stay empty.
 	e := []uint32{math.MaxUint32, math.MaxUint32}
-	densify(e)
+	densify(e, src[:2])
 	if e[0] != math.MaxUint32 {
 		t.Fatalf("all-empty row densified")
 	}

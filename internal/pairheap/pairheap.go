@@ -1,9 +1,9 @@
-// Package pairheap provides the max-heap of candidate row pairs keyed by
+// Package pairheap provides the max-queue of candidate row pairs keyed by
 // Jaccard similarity (Alg 3's sim_queue) together with the candidate-pair
 // membership set used to avoid re-inserting a pair (Alg 3 line 27).
 package pairheap
 
-import "container/heap"
+import "slices"
 
 // Pair is a candidate row pair with its similarity score.
 type Pair struct {
@@ -21,19 +21,44 @@ func (p Pair) Key() uint64 {
 	return a<<32 | b
 }
 
-// Queue is a max-heap of Pairs by Sim with a membership set over pair
-// identities. Ties on Sim are broken by (I, J) ascending so the clustering
-// trace is deterministic, which the paper's worked example (Fig 6)
-// implicitly relies on.
+// Compare is the queue's pop order: similarity descending, then (I, J)
+// ascending, so the clustering trace is deterministic, which the paper's
+// worked example (Fig 6) implicitly relies on. It is a total order over
+// pairs with distinct (I, J), so a queue of distinct pairs has exactly
+// one pop sequence however it is stored.
+func Compare(a, b Pair) int {
+	switch {
+	case a.Sim > b.Sim:
+		return -1
+	case a.Sim < b.Sim:
+		return 1
+	case a.I != b.I:
+		return int(a.I - b.I)
+	default:
+		return int(a.J - b.J)
+	}
+}
+
+// Queue is a max-queue of Pairs in Compare order with a membership set
+// over pair identities. It holds two parts: a cursor over the initial
+// candidate set, kept as one sorted run, and a binary heap holding only
+// the pairs pushed later. Pop takes the greater of the two heads. The
+// LSH stage already emits its pairs in Compare order, so building the
+// queue costs one scan, and Alg 3's many pops from the initial set are
+// cursor steps instead of heap sifts.
 type Queue struct {
-	h       pairSlice
+	run     []Pair // initial pairs in Compare order; run[next:] are queued
+	next    int
+	h       []Pair // pushed pairs, a binary heap in Compare order
 	present map[uint64]struct{}
 }
 
-// New builds a queue from an initial set of candidate pairs in O(E).
+// New builds a queue from an initial set of candidate pairs. Of pairs
+// that share a Key, the first one in pairs is kept. The queue copies
+// pairs and sorts the copy only when it is not already in Compare order.
 func New(pairs []Pair) *Queue {
 	q := &Queue{
-		h:       make(pairSlice, 0, len(pairs)),
+		run:     make([]Pair, 0, len(pairs)),
 		present: make(map[uint64]struct{}, len(pairs)),
 	}
 	for _, p := range pairs {
@@ -41,22 +66,29 @@ func New(pairs []Pair) *Queue {
 			continue
 		}
 		q.present[p.Key()] = struct{}{}
-		q.h = append(q.h, p)
+		q.run = append(q.run, p)
 	}
-	heap.Init(&q.h)
+	if !slices.IsSortedFunc(q.run, Compare) {
+		slices.SortFunc(q.run, Compare)
+	}
 	return q
 }
 
 // Len returns the number of pairs currently queued.
-func (q *Queue) Len() int { return len(q.h) }
+func (q *Queue) Len() int { return len(q.run) - q.next + len(q.h) }
 
 // Empty reports whether no pairs remain.
-func (q *Queue) Empty() bool { return len(q.h) == 0 }
+func (q *Queue) Empty() bool { return q.Len() == 0 }
 
 // Pop removes and returns the pair with the largest similarity.
 // It panics on an empty queue (programming error).
 func (q *Queue) Pop() Pair {
-	return heap.Pop(&q.h).(Pair)
+	if q.next < len(q.run) && (len(q.h) == 0 || Compare(q.run[q.next], q.h[0]) < 0) {
+		p := q.run[q.next]
+		q.next++
+		return p
+	}
+	return q.popHeap()
 }
 
 // Push inserts a pair if an identical pair (in either orientation) has not
@@ -68,7 +100,8 @@ func (q *Queue) Push(p Pair) bool {
 		return false
 	}
 	q.present[p.Key()] = struct{}{}
-	heap.Push(&q.h, p)
+	q.h = append(q.h, p)
+	q.up(len(q.h) - 1)
 	return true
 }
 
@@ -79,24 +112,44 @@ func (q *Queue) Contains(i, j int32) bool {
 	return ok
 }
 
-type pairSlice []Pair
-
-func (s pairSlice) Len() int { return len(s) }
-func (s pairSlice) Less(a, b int) bool {
-	if s[a].Sim != s[b].Sim {
-		return s[a].Sim > s[b].Sim // max-heap
-	}
-	if s[a].I != s[b].I {
-		return s[a].I < s[b].I
-	}
-	return s[a].J < s[b].J
+// popHeap removes the heap's head; it panics when the heap is empty.
+func (q *Queue) popHeap() Pair {
+	h := q.h
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	q.h = h[:n]
+	q.down(0)
+	return top
 }
-func (s pairSlice) Swap(a, b int) { s[a], s[b] = s[b], s[a] }
-func (s *pairSlice) Push(x any)   { *s = append(*s, x.(Pair)) }
-func (s *pairSlice) Pop() any {
-	old := *s
-	n := len(old)
-	p := old[n-1]
-	*s = old[:n-1]
-	return p
+
+func (q *Queue) up(k int) {
+	h := q.h
+	for k > 0 {
+		parent := (k - 1) / 2
+		if Compare(h[k], h[parent]) >= 0 {
+			return
+		}
+		h[k], h[parent] = h[parent], h[k]
+		k = parent
+	}
+}
+
+func (q *Queue) down(k int) {
+	h := q.h
+	n := len(h)
+	for {
+		c := 2*k + 1
+		if c >= n {
+			return
+		}
+		if r := c + 1; r < n && Compare(h[r], h[c]) < 0 {
+			c = r
+		}
+		if Compare(h[c], h[k]) >= 0 {
+			return
+		}
+		h[k], h[c] = h[c], h[k]
+		k = c
+	}
 }

@@ -2,6 +2,7 @@ package pairheap
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -127,5 +128,133 @@ func TestPropertyHeapOrder(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refQueue is the sort-based reference model of Queue: a plain slice of
+// queued pairs, fully sorted before every pop (similarity descending,
+// then I, then J ascending), and the ever-seen key set.
+type refQueue struct {
+	queued []Pair
+	seen   map[uint64]bool
+}
+
+func (r *refQueue) push(p Pair) bool {
+	if r.seen[p.Key()] {
+		return false
+	}
+	r.seen[p.Key()] = true
+	r.queued = append(r.queued, p)
+	return true
+}
+
+func (r *refQueue) pop() Pair {
+	sort.Slice(r.queued, func(a, b int) bool {
+		x, y := r.queued[a], r.queued[b]
+		if x.Sim != y.Sim {
+			return x.Sim > y.Sim
+		}
+		if x.I != y.I {
+			return x.I < y.I
+		}
+		return x.J < y.J
+	})
+	p := r.queued[0]
+	r.queued = r.queued[1:]
+	return p
+}
+
+// Property: under any interleaving of Push and Pop, the queue pops
+// exactly the sequence a sort-based reference pops. Inputs cover
+// unsorted and sorted New input (New sorts only the former), duplicate
+// pairs in both orientations, and Sim ties.
+func TestPropertyInterleavedMatchesReference(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		randPair := func() Pair {
+			return Pair{
+				Sim: float64(rng.Intn(4)) / 4, // few values: many ties
+				I:   int32(rng.Intn(12)),
+				J:   int32(rng.Intn(12)),
+			}
+		}
+		init := make([]Pair, rng.Intn(60))
+		for i := range init {
+			init[i] = randPair()
+			if i > 0 && rng.Intn(4) == 0 { // same pair, other orientation
+				prev := init[rng.Intn(i)]
+				init[i] = Pair{Sim: randPair().Sim, I: prev.J, J: prev.I}
+			}
+		}
+		if rng.Intn(2) == 0 {
+			slices.SortFunc(init, Compare)
+		}
+		orig := slices.Clone(init)
+		ref := &refQueue{seen: map[uint64]bool{}}
+		for _, p := range init {
+			ref.push(p)
+		}
+		q := New(init)
+		if !slices.Equal(init, orig) {
+			t.Errorf("seed %d: New modified its input", seed)
+			return false
+		}
+		for step := 0; step < 200; step++ {
+			if q.Len() != len(ref.queued) {
+				t.Errorf("seed %d step %d: Len %d, reference %d", seed, step, q.Len(), len(ref.queued))
+				return false
+			}
+			if rng.Intn(2) == 0 {
+				p := randPair()
+				if got, want := q.Push(p), ref.push(p); got != want {
+					t.Errorf("seed %d step %d: Push(%v) = %v, reference %v", seed, step, p, got, want)
+					return false
+				}
+				continue
+			}
+			if len(ref.queued) == 0 {
+				continue
+			}
+			if got, want := q.Pop(), ref.pop(); got != want {
+				t.Errorf("seed %d step %d: Pop = %v, reference %v", seed, step, got, want)
+				return false
+			}
+		}
+		for len(ref.queued) > 0 {
+			if got, want := q.Pop(), ref.pop(); got != want {
+				t.Errorf("seed %d drain: Pop = %v, reference %v", seed, got, want)
+				return false
+			}
+		}
+		return q.Empty()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPushPopZeroAlloc pins that steady-state Pop and Push allocate
+// nothing: the requeue heap is a typed slice whose capacity is reused,
+// so no Pair is boxed. The membership map only grows, and its growth is
+// amortised to zero over the runs.
+func TestPushPopZeroAlloc(t *testing.T) {
+	const n = 1 << 12
+	pairs := make([]Pair, n)
+	for i := range pairs {
+		pairs[i] = Pair{Sim: 1 - float64(i)/n, I: int32(i), J: int32(i + 1)}
+	}
+	q := New(pairs)
+	next := int32(n + 1)
+	pushPop := func() {
+		q.Push(Pair{Sim: float64(next%7) / 7, I: 0, J: next})
+		next++
+		q.Pop()
+	}
+	for i := 0; i < 64; i++ { // size the heap's backing array
+		q.Push(Pair{Sim: 0.5, I: 1, J: next})
+		next++
+	}
+	if allocs := testing.AllocsPerRun(1000, pushPop); allocs != 0 {
+		t.Fatalf("steady-state Push+Pop allocates %v times per call, want 0", allocs)
 	}
 }

@@ -82,3 +82,60 @@ func BenchmarkTilingWorkers(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkPreprocessFamilies is a cold Preprocess of each matrix shape
+// the repo benchmark (perfbench) serves, generated from the same seeds
+// as its default run: the three tenants-steady families, the
+// small-k-burst matrix and the live-mutate matrix. -short shrinks them
+// to perfbench's --short sizes. Per-stage metrics and allocs/op show
+// where each family's setup time goes.
+func BenchmarkPreprocessFamilies(b *testing.B) {
+	short := testing.Short()
+	pick := func(full, small int) int {
+		if short {
+			return small
+		}
+		return full
+	}
+	scrambled := func(rows, cols int) func() (*sparse.CSR, error) {
+		return func() (*sparse.CSR, error) {
+			return synth.Clustered(synth.ClusterParams{
+				Rows: rows, Cols: cols, Clusters: rows / 32,
+				PrototypeNNZ: 24, Keep: 0.8, Noise: 2, Seed: 1, Scrambled: true,
+			})
+		}
+	}
+	families := []struct {
+		name string
+		gen  func() (*sparse.CSR, error)
+	}{
+		{"tenants-scrambled", scrambled(pick(4096, 1024), pick(24576, 4096))},
+		{"tenants-rmat", func() (*sparse.CSR, error) {
+			return synth.RMAT(pick(14, 12), 16, 0.57, 0.19, 0.19, 2)
+		}},
+		{"tenants-banded", func() (*sparse.CSR, error) {
+			return synth.Banded(pick(6144, 1024), pick(12288, 1024), 64, 16, 3)
+		}},
+		{"small-k-burst", scrambled(pick(8192, 1024), pick(8192, 1024))},
+		{"live-mutate", scrambled(pick(4096, 1024), pick(8192, 2048))},
+	}
+	for _, f := range families {
+		m, err := f.gen()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(f.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var last *Plan
+			for i := 0; i < b.N; i++ {
+				p, err := Preprocess(m, DefaultConfig())
+				if err != nil {
+					b.Fatal(err)
+				}
+				last = p
+			}
+			b.StopTimer()
+			reportStages(b, last)
+		})
+	}
+}

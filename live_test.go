@@ -435,21 +435,21 @@ func TestLiveMutationValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := map[string]repro.Mutation{
-		"replace out of range":  {ReplaceRows: []repro.RowUpdate{{Row: 16}}},
-		"replace negative":      {ReplaceRows: []repro.RowUpdate{{Row: -1}}},
-		"delete out of range":   {DeleteRows: []int{99}},
-		"duplicate replace":     {ReplaceRows: []repro.RowUpdate{{Row: 3}, {Row: 3}}},
-		"replace and delete":    {ReplaceRows: []repro.RowUpdate{{Row: 3}}, DeleteRows: []int{3}},
-		"duplicate delete":      {DeleteRows: []int{3, 3}},
-		"len mismatch":          {AppendRows: []repro.RowDef{{Cols: []int32{1, 2}, Vals: []float32{1}}}},
-		"duplicate column":      {AppendRows: []repro.RowDef{{Cols: []int32{2, 2}, Vals: []float32{1, 1}}}},
-		"column out of range":   {AppendRows: []repro.RowDef{{Cols: []int32{12}, Vals: []float32{1}}}},
-		"negative column":       {AppendRows: []repro.RowDef{{Cols: []int32{-1}, Vals: []float32{1}}}},
-		"NaN value":             {AppendRows: []repro.RowDef{{Cols: []int32{0}, Vals: []float32{float32(math.NaN())}}}},
-		"Inf value update":      {UpdateValues: []repro.ValueUpdate{{Row: 0, Col: 0, Val: float32(math.Inf(1))}}},
-		"update row range":      {UpdateValues: []repro.ValueUpdate{{Row: 77, Col: 0, Val: 1}}},
-		"update col range":      {UpdateValues: []repro.ValueUpdate{{Row: 0, Col: 12, Val: 1}}},
-		"update missing entry":  {ReplaceRows: []repro.RowUpdate{{Row: 2, Def: repro.RowDef{Cols: []int32{5}, Vals: []float32{1}}}}, UpdateValues: []repro.ValueUpdate{{Row: 2, Col: 6, Val: 1}}},
+		"replace out of range": {ReplaceRows: []repro.RowUpdate{{Row: 16}}},
+		"replace negative":     {ReplaceRows: []repro.RowUpdate{{Row: -1}}},
+		"delete out of range":  {DeleteRows: []int{99}},
+		"duplicate replace":    {ReplaceRows: []repro.RowUpdate{{Row: 3}, {Row: 3}}},
+		"replace and delete":   {ReplaceRows: []repro.RowUpdate{{Row: 3}}, DeleteRows: []int{3}},
+		"duplicate delete":     {DeleteRows: []int{3, 3}},
+		"len mismatch":         {AppendRows: []repro.RowDef{{Cols: []int32{1, 2}, Vals: []float32{1}}}},
+		"duplicate column":     {AppendRows: []repro.RowDef{{Cols: []int32{2, 2}, Vals: []float32{1, 1}}}},
+		"column out of range":  {AppendRows: []repro.RowDef{{Cols: []int32{12}, Vals: []float32{1}}}},
+		"negative column":      {AppendRows: []repro.RowDef{{Cols: []int32{-1}, Vals: []float32{1}}}},
+		"NaN value":            {AppendRows: []repro.RowDef{{Cols: []int32{0}, Vals: []float32{float32(math.NaN())}}}},
+		"Inf value update":     {UpdateValues: []repro.ValueUpdate{{Row: 0, Col: 0, Val: float32(math.Inf(1))}}},
+		"update row range":     {UpdateValues: []repro.ValueUpdate{{Row: 77, Col: 0, Val: 1}}},
+		"update col range":     {UpdateValues: []repro.ValueUpdate{{Row: 0, Col: 12, Val: 1}}},
+		"update missing entry": {ReplaceRows: []repro.RowUpdate{{Row: 2, Def: repro.RowDef{Cols: []int32{5}, Vals: []float32{1}}}}, UpdateValues: []repro.ValueUpdate{{Row: 2, Col: 6, Val: 1}}},
 		"valid plus one invalid": {
 			AppendRows:   []repro.RowDef{{Cols: []int32{1}, Vals: []float32{2}}},
 			UpdateValues: []repro.ValueUpdate{{Row: 0, Col: -1, Val: 1}},
@@ -627,10 +627,10 @@ func TestLiveUnmutatedFastPathNoAllocs(t *testing.T) {
 func FuzzMutationLog(f *testing.F) {
 	// Each op is 4 bytes: kind, a, b, c.
 	f.Add([]byte{0, 1, 2, 3})
-	f.Add([]byte{1, 200, 0, 0})                          // replace far out of range
-	f.Add([]byte{2, 3, 3, 9, 2, 3, 3, 9})                // duplicate columns
+	f.Add([]byte{1, 200, 0, 0})                         // replace far out of range
+	f.Add([]byte{2, 3, 3, 9, 2, 3, 3, 9})               // duplicate columns
 	f.Add([]byte{3, 0, 0, 0, 4, 15, 1, 7, 3, 15, 0, 0}) // append then delete the appended row
-	f.Add([]byte{1, 3, 255, 1, 1, 3, 1, 255})            // duplicate replace of one row
+	f.Add([]byte{1, 3, 255, 1, 1, 3, 1, 255})           // duplicate replace of one row
 	f.Add([]byte{5, 0, 0, 0, 5, 0, 0, 0, 5, 0, 0, 0})   // value-update storm on (0,*)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 256 {
