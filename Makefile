@@ -83,11 +83,13 @@ bench-preprocess:
 # ASpT) on the structural families the autotuner discriminates between
 # (skewed R-MAT, banded, uniform), emitted as BENCH_kernels.json. Each
 # line also reports imb@32, the deterministic row-chunking load-imbalance
-# factor (see DESIGN.md §12). Quick smoke run:
+# factor (see DESIGN.md §12). KernelShapes adds every SpMM/SDDMM kernel
+# at the shapes perfbench serves (tenants-steady K=32, small-k-burst
+# K=1/4). Quick smoke run:
 #   make bench-kernels BENCH_KERNELS_FLAGS="-short -benchtime 1x"
 BENCH_KERNELS_FLAGS ?= -benchtime 1s
 bench-kernels:
-	$(GO) test -run '^$$' -bench 'KernelCorpus' -benchmem \
+	$(GO) test -run '^$$' -bench 'KernelCorpus|KernelShapes' -benchmem \
 		$(BENCH_KERNELS_FLAGS) ./internal/kernels/ \
 		| $(GO) run ./cmd/benchjson -out BENCH_kernels.json
 	@echo "wrote BENCH_kernels.json"

@@ -3,6 +3,8 @@ package kernels
 import (
 	"context"
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -275,4 +277,35 @@ func TestIntoSteadyStateAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// parallelRows runs fn over [0, rows) split into contiguous equal-row
+// chunks across GOMAXPROCS workers — the seed engine, kept as the
+// baseline for the load-balance tests and benchmarks.
+func parallelRows(rows int, fn func(lo, hi int)) {
+	workers := runtime.GOMAXPROCS(0)
+	if workers > rows {
+		workers = rows
+	}
+	if workers <= 1 {
+		fn(0, rows)
+		return
+	}
+	var wg sync.WaitGroup
+	chunk := (rows + workers - 1) / workers
+	for w := 0; w < workers; w++ {
+		lo, hi := w*chunk, (w+1)*chunk
+		if hi > rows {
+			hi = rows
+		}
+		if lo >= hi {
+			break
+		}
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			fn(lo, hi)
+		}(lo, hi)
+	}
+	wg.Wait()
 }

@@ -7,13 +7,13 @@ package kernels
 // the kernel autotuner in internal/reorder). A spill-free HYB is plain
 // ELLPACK-R.
 //
-// The ELL part walks the slab column-major (slot-major), mirroring
-// the coalesced GPU access pattern: within a chunk the slab reads at
-// slot s are contiguous (Cols/Vals[s*rows+lo : s*rows+hi]) while the
-// chunk's output rows stay cache-resident. The HYB kernel runs the ELL
-// slab first, then folds in the spill entries whose rows fall inside
-// the chunk — Spill is row-major sorted and chunk row ranges tile
-// [0, rows), so no two chunks write the same output row.
+// Each chunk computes its output rows one at a time and in full: the
+// row's ELL slots 0..RowLen-1 in order (slot s of row i sits at
+// Cols/Vals[s*rows+i]), then its spill entries, so every output row
+// accumulates in the row's nonzero order while it stays in L1 — the
+// per-row order of the ELL slab followed by the spill. Spill is
+// row-major sorted and chunk row ranges tile [0, rows), so no two
+// chunks write the same output row.
 
 import (
 	"context"
@@ -32,40 +32,35 @@ func SpMMHybridIntoCtx(ctx context.Context, y *dense.Matrix, h *ellpack.Hybrid, 
 	return exec(ctx, specs[spmmHybrid], operands{hyb: h, x: x, y: y})
 }
 
-func runSpMMELL(j *job, lo, hi int) {
-	e, x, y := j.hyb.ELL, j.x, j.y
-	for i := lo; i < hi; i++ {
-		clear(y.Row(i))
-	}
-	rows := e.Rows
-	for s := 0; s < e.Width; s++ {
-		base := s * rows
-		for i := lo; i < hi; i++ {
-			if s >= int(e.RowLen[i]) {
-				continue
-			}
-			v := e.Vals[base+i]
-			xr := x.Row(int(e.Cols[base+i]))
-			yi := y.Row(i)
-			for k := range yi {
-				yi[k] += v * xr[k]
-			}
-		}
-	}
-}
-
 func runSpMMHybrid(j *job, lo, hi int) {
-	runSpMMELL(j, lo, hi)
-	h, x, y := j.hyb, j.x, j.y
-	for i := searchSpillRow(h.Spill, int32(lo)); i < len(h.Spill); i++ {
-		e := h.Spill[i]
-		if int(e.Row) >= hi {
-			break
+	e, spill, x, y := j.hyb.ELL, j.hyb.Spill, j.x, j.y
+	stride := e.Rows
+	sp := searchSpillRow(spill, int32(lo))
+	for i := lo; i < hi; i++ {
+		yi := y.Row(i)
+		clear(yi)
+		n, p, s := int(e.RowLen[i]), i, 0
+		for ; s+4 <= n; s += 4 {
+			p0, p1, p2, p3 := p, p+stride, p+2*stride, p+3*stride
+			axpy4(yi, e.Vals[p0], e.Vals[p1], e.Vals[p2], e.Vals[p3],
+				x.Row(int(e.Cols[p0])), x.Row(int(e.Cols[p1])), x.Row(int(e.Cols[p2])), x.Row(int(e.Cols[p3])))
+			p += 4 * stride
 		}
-		xr := x.Row(int(e.Col))
-		yr := y.Row(int(e.Row))
-		for k := range yr {
-			yr[k] += e.Val * xr[k]
+		for ; s < n; s++ {
+			axpy1(yi, e.Vals[p], x.Row(int(e.Cols[p])))
+			p += stride
+		}
+		end := sp
+		for end < len(spill) && int(spill[end].Row) == i {
+			end++
+		}
+		for ; sp+4 <= end; sp += 4 {
+			q := spill[sp : sp+4]
+			axpy4(yi, q[0].Val, q[1].Val, q[2].Val, q[3].Val,
+				x.Row(int(q[0].Col)), x.Row(int(q[1].Col)), x.Row(int(q[2].Col)), x.Row(int(q[3].Col)))
+		}
+		for ; sp < end; sp++ {
+			axpy1(yi, spill[sp].Val, x.Row(int(spill[sp].Col)))
 		}
 	}
 }

@@ -6,6 +6,15 @@
 // leftover sparse part) and must produce bit-identical structure and
 // numerically equal values.
 //
+// Every kernel but merge runs its inner loops through the
+// register-blocked row helpers in rows.go (SpMMRow and SDDMMRow are
+// exported for the live overlay's per-row path): SpMM sweeps an output
+// row once per four nonzeros and SDDMM computes four independent dot
+// products per sweep, with no bounds checks in the k loops. Per output
+// element they run the same operations in the same order as the
+// one-nonzero-at-a-time loops, with no reassociation, so blocking
+// changes no result bit.
+//
 // There is one entry point per kernel — SpMMRowWiseIntoCtx,
 // SpMMASpTIntoCtx, SpMMMergeIntoCtx, SpMMHybridIntoCtx,
 // SDDMMRowWiseIntoCtx and SDDMMASpTIntoCtx — plus the batched
@@ -22,8 +31,6 @@ package kernels
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/aspt"
@@ -77,7 +84,14 @@ var specs = [...]*kernelSpec{
 		return int(h.CumWork(h.ELL.Rows)), j.dispatch(h.ELL.Rows, h.CumWork)
 	}),
 	sddmmRowWise: newKernelSpec("sddmm_rowwise", func(j *job) (int, error) { return csrRows(j, runSDDMMRowWise) }),
-	sddmmASpT:    newKernelSpec("sddmm_aspt", func(j *job) (int, error) { return tileRows(j, runSDDMMASpT) }),
+	// Each SDDMM output depends only on its own nonzero, so the ASpT
+	// tile/rest split changes where a GPU reads X rows from (shared
+	// memory vs global; gpusim charges that traffic), never a value: the
+	// CPU pass walks the source rows.
+	sddmmASpT: newKernelSpec("sddmm_aspt", func(j *job) (int, error) {
+		j.csr = j.tile.Src
+		return csrRows(j, runSDDMMRowWise)
+	}),
 }
 
 // exec runs one pass of kernel k over ops: span, pooled job, dispatch,
@@ -115,38 +129,6 @@ func tileRows(j *job, body func(j *job, lo, hi int)) (int, error) {
 	return t.Src.NNZ(), j.dispatch(t.Src.Rows, t.CumWork)
 }
 
-// parallelRows runs fn over [0, rows) split into contiguous equal-row
-// chunks across GOMAXPROCS workers — the seed engine, kept as the
-// baseline for the load-balance tests and benchmarks. New code should
-// go through job.dispatch, which balances by nonzeros.
-func parallelRows(rows int, fn func(lo, hi int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > rows {
-		workers = rows
-	}
-	if workers <= 1 {
-		fn(0, rows)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (rows + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > rows {
-			hi = rows
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
 // checkSpMM validates Y = S·X for a rows×cols sparse operand.
 func checkSpMM(rows, cols int, x, y *dense.Matrix) error {
 	if cols != x.Rows {
@@ -173,16 +155,7 @@ func SpMMRowWiseIntoCtx(ctx context.Context, y *dense.Matrix, s *sparse.CSR, x *
 func runSpMMRowWise(j *job, lo, hi int) {
 	s, x, y := j.csr, j.x, j.y
 	for i := lo; i < hi; i++ {
-		yi := y.Row(i)
-		clear(yi)
-		cols, vals := s.RowCols(i), s.RowVals(i)
-		for jj := range cols {
-			v := vals[jj]
-			xr := x.Row(int(cols[jj]))
-			for k := range yi {
-				yi[k] += v * xr[k]
-			}
-		}
+		SpMMRow(y.Row(i), s.RowCols(i), s.RowVals(i), x)
 	}
 }
 
@@ -203,24 +176,8 @@ func runSpMMASpT(j *job, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		yi := y.Row(i)
 		clear(yi)
-		// Dense-tile part.
-		tcols, tvals := t.TileRowCols(i), t.TileRowVals(i)
-		for jj := range tcols {
-			v := tvals[jj]
-			xr := x.Row(int(tcols[jj]))
-			for k := range yi {
-				yi[k] += v * xr[k]
-			}
-		}
-		// Leftover sparse part.
-		rcols, rvals := t.Rest.RowCols(i), t.Rest.RowVals(i)
-		for jj := range rcols {
-			v := rvals[jj]
-			xr := x.Row(int(rcols[jj]))
-			for k := range yi {
-				yi[k] += v * xr[k]
-			}
-		}
+		axpyRow(yi, t.TileRowCols(i), t.TileRowVals(i), x)
+		axpyRow(yi, t.Rest.RowCols(i), t.Rest.RowVals(i), x)
 	}
 }
 
@@ -259,18 +216,7 @@ func SDDMMRowWiseIntoCtx(ctx context.Context, out, s *sparse.CSR, x, y *dense.Ma
 func runSDDMMRowWise(j *job, lo, hi int) {
 	s, x, y := j.csr, j.x, j.y
 	for i := lo; i < hi; i++ {
-		yi := y.Row(i)
-		cols := s.RowCols(i)
-		svals := s.RowVals(i)
-		ovals := j.out[s.RowPtr[i]:s.RowPtr[i+1]]
-		for jj := range cols {
-			xr := x.Row(int(cols[jj]))
-			dot := float32(0)
-			for k := range yi {
-				dot += yi[k] * xr[k]
-			}
-			ovals[jj] = dot * svals[jj]
-		}
+		SDDMMRow(j.out[s.RowPtr[i]:s.RowPtr[i+1]], y.Row(i), s.RowCols(i), s.RowVals(i), x)
 	}
 }
 
@@ -284,57 +230,6 @@ func SDDMMASpTIntoCtx(ctx context.Context, out *sparse.CSR, t *aspt.Matrix, x, y
 		return err
 	}
 	return exec(ctx, specs[sddmmASpT], operands{tile: t, x: x, y: y, out: out.Val})
-}
-
-func runSDDMMASpT(j *job, lo, hi int) {
-	t, x, y := j.tile, j.x, j.y
-	s := t.Src
-	// The tile/rest partition changes *where* each nonzero's X row is
-	// read from on the GPU (shared memory vs global), not the arithmetic:
-	// every nonzero is scaled by its own source value regardless of
-	// partition. The partition-aware traffic accounting lives in gpusim;
-	// here the two partitions are walked to mirror the execution order.
-	for i := lo; i < hi; i++ {
-		yi := y.Row(i)
-		ovals := j.out[s.RowPtr[i]:s.RowPtr[i+1]]
-		svals := s.RowVals(i)
-		cols := s.RowCols(i)
-		// Tile nonzeros first (the dense-tile kernel), then the rest
-		// (the row-wise kernel); position within the source row is
-		// recovered by column index, which is unique per row.
-		for pass := 0; pass < 2; pass++ {
-			var pcols []int32
-			if pass == 0 {
-				pcols = t.TileRowCols(i)
-			} else {
-				pcols = t.Rest.RowCols(i)
-			}
-			for _, c := range pcols {
-				xr := x.Row(int(c))
-				dot := float32(0)
-				for k := range yi {
-					dot += yi[k] * xr[k]
-				}
-				jj := searchInt32(cols, c)
-				ovals[jj] = dot * svals[jj]
-			}
-		}
-	}
-}
-
-// searchInt32 returns the index of c in the sorted slice cols. The caller
-// guarantees presence (CSR rows have unique, sorted columns).
-func searchInt32(cols []int32, c int32) int {
-	lo, hi := 0, len(cols)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if cols[mid] < c {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }
 
 // Flops returns the floating-point operation count of an SpMM or SDDMM on

@@ -889,16 +889,7 @@ func (st *liveState) spmmInto(ctx context.Context, y *Dense, x *Dense, nrOnly bo
 				return err
 			}
 		}
-		yr := y.Row(r)
-		clear(yr)
-		cols, vals := cur.RowCols(r), cur.RowVals(r)
-		for i, c := range cols {
-			xr := x.Row(int(c))
-			v := vals[i]
-			for k := range yr {
-				yr[k] += v * xr[k]
-			}
-		}
+		kernels.SpMMRow(y.Row(r), cur.RowCols(r), cur.RowVals(r), x)
 		return nil
 	}
 	for r := range st.overlay {
@@ -986,17 +977,7 @@ func (st *liveState) sddmmInto(ctx context.Context, out *Matrix, x, y *Dense, nr
 				return err
 			}
 		}
-		yr := y.Row(r)
-		cols, vals := cur.RowCols(r), cur.RowVals(r)
-		ovals := out.Val[cur.RowPtr[r]:cur.RowPtr[r+1]]
-		for i, c := range cols {
-			xr := x.Row(int(c))
-			var dot float32
-			for k := range yr {
-				dot += yr[k] * xr[k]
-			}
-			ovals[i] = dot * vals[i]
-		}
+		kernels.SDDMMRow(out.Val[cur.RowPtr[r]:cur.RowPtr[r+1]], y.Row(r), cur.RowCols(r), cur.RowVals(r), x)
 		return nil
 	}
 	for r := range st.overlay {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -703,4 +704,88 @@ func FuzzMutationLog(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestLiveOverlayRowsMatchScalar pins the overlay and tail rows of a
+// mutated LivePipeline — served by the kernels' blocked row helpers —
+// to a one-nonzero-at-a-time scalar loop, bit for bit, with
+// non-integer values (so any reassociation shows). Replaced and
+// appended rows hold 0..9 nonzeros, covering every residue mod 4 of
+// the four-nonzero blocking.
+func TestLiveOverlayRowsMatchScalar(t *testing.T) {
+	ctx := context.Background()
+	m, err := repro.GenerateScrambledClusters(256, 512, 8, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := repro.NewLivePipelineCtx(ctx, m, liveTestConfig(), repro.LiveConfig{RebuildDisabled: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	floatRow := func(n int) repro.RowDef {
+		cs := make([]int32, 0, n)
+		for _, c := range rng.Perm(m.Cols)[:n] {
+			cs = append(cs, int32(c))
+		}
+		slices.Sort(cs)
+		vs := make([]float32, n)
+		for i := range vs {
+			vs[i] = rng.Float32()*2 - 1
+		}
+		return repro.RowDef{Cols: cs, Vals: vs}
+	}
+	var mu repro.Mutation
+	var served []int // overlay and tail rows
+	for n := 0; n < 10; n++ {
+		r := 7 + 23*n
+		mu.ReplaceRows = append(mu.ReplaceRows, repro.RowUpdate{Row: r, Def: floatRow(n)})
+		mu.AppendRows = append(mu.AppendRows, floatRow(n))
+		served = append(served, r, m.Rows+n)
+	}
+	if err := l.Mutate(ctx, mu); err != nil {
+		t.Fatal(err)
+	}
+	cur := l.Matrix()
+	for _, k := range []int{1, 3, 4, 5, 32, 33} {
+		x := repro.NewRandomDense(cur.Cols, k, int64(k))
+		y := repro.NewDense(cur.Rows, k)
+		if err := l.SpMMIntoCtx(ctx, y, x); err != nil {
+			t.Fatal(err)
+		}
+		ys := repro.NewRandomDense(cur.Rows, k, int64(100+k))
+		out := cur.Clone()
+		if err := l.SDDMMIntoCtx(ctx, out, x, ys); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range served {
+			cols, vals := cur.RowCols(r), cur.RowVals(r)
+			want := make([]float32, k)
+			for j, c := range cols {
+				xr := x.Row(int(c))
+				for kk := range want {
+					want[kk] += vals[j] * xr[kk]
+				}
+			}
+			for kk, w := range want {
+				if got := y.Row(r)[kk]; math.Float32bits(got) != math.Float32bits(w) {
+					t.Fatalf("K=%d SpMM row %d col %d: live %v, scalar %v", k, r, kk, got, w)
+				}
+			}
+			ovals := out.Val[cur.RowPtr[r]:cur.RowPtr[r+1]]
+			for j, c := range cols {
+				xr, yr := x.Row(int(c)), ys.Row(r)
+				var dot float32
+				for kk := range yr {
+					dot += yr[kk] * xr[kk]
+				}
+				if w := dot * vals[j]; math.Float32bits(ovals[j]) != math.Float32bits(w) {
+					t.Fatalf("K=%d SDDMM row %d nonzero %d: live %v, scalar %v", k, r, j, ovals[j], w)
+				}
+			}
+		}
+	}
+	if st := l.Stats(); st.OverlayRows == 0 || st.TailRows == 0 {
+		t.Fatalf("overlay not engaged: %+v", st)
+	}
 }
