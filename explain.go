@@ -103,19 +103,20 @@ func (s *Server) Explain(id string) (*TenantExplain, error) {
 		Attribution: kernels.Attribution(),
 		SLO:         t.slo.status(),
 	}
-	cfg := st.baseCfg()
-	var plan *Plan
-	if o := st.online; o != nil {
+	cfg := st.base.cfg()
+	lead := st.base.lead()
+	plan := lead.plan
+	switch b := st.base.(type) {
+	case *OnlinePipeline:
 		ex.Mode = "online"
-		served, variant := o.serving.Load(), plancache.NR
-		if served != o.nr {
+		variant := plancache.NR
+		if lead != b.nr {
 			variant = plancache.Full
 		}
-		plan = served.plan
 		ex.PlanFingerprint = plancache.Fingerprint(st.baseM, cfg, variant)
-		done, won := o.Decided()
-		rrT, nrT := o.TrialTimes()
-		deg, derr := o.Degraded()
+		done, won := b.Decided()
+		rrT, nrT := b.TrialTimes()
+		deg, derr := b.Degraded()
 		ex.Trial = TrialExplain{
 			Decided:          done,
 			ReorderingWon:    won,
@@ -126,26 +127,22 @@ func (s *Server) Explain(id string) (*TenantExplain, error) {
 		if derr != nil {
 			ex.Trial.Reason = derr.Error()
 		}
-	} else {
-		sp := st.sharded
+	case *ShardedPipeline:
 		ex.Mode = "sharded"
 		// A sharded base has one plan per panel; the fingerprint
 		// identifies the fused base matrix (what plan_swap events
 		// carry), the features/kernel sections report panel 0 with the
 		// full layout in Panels.
 		ex.PlanFingerprint = plancache.Fingerprint(st.baseM, cfg, plancache.Full)
-		plan = sp.panels[0].pipe.plan
-		ex.Panels = make([]PanelExplain, sp.Panels())
+		ex.Panels = make([]PanelExplain, b.Panels())
 		for i := range ex.Panels {
-			lo, hi := sp.PanelRange(i)
-			ex.Panels[i] = PanelExplain{Lo: lo, Hi: hi, Kernel: sp.PanelKernel(i).String()}
+			lo, hi := b.PanelRange(i)
+			ex.Panels[i] = PanelExplain{Lo: lo, Hi: hi, Kernel: b.PanelKernel(i).String()}
 		}
 	}
-	if plan != nil {
-		ex.Kernel = plan.Kernel.String()
-		ex.Features = plan.Features
-		ex.KernelVerdict = reorder.ChooseKernel(plan.Features).String()
-		ex.KernelOverridden = plan.Cfg.Kernel != KernelAuto && plan.Cfg.Kernel.Valid()
-	}
+	ex.Kernel = plan.Kernel.String()
+	ex.Features = plan.Features
+	ex.KernelVerdict = reorder.ChooseKernel(plan.Features).String()
+	ex.KernelOverridden = plan.Cfg.Kernel != KernelAuto && plan.Cfg.Kernel.Valid()
 	return ex, nil
 }

@@ -154,13 +154,12 @@ type liveState struct {
 	// plan or snapshot can ever be applied to mutated structure.
 	structEpoch uint32
 
-	// Exactly one of online/sharded is the preprocessed base, built for
-	// baseM. cur is the fused matrix actually being served: baseM plus
-	// every mutation since the base was built.
-	online  *OnlinePipeline
-	sharded *ShardedPipeline
-	baseM   *Matrix
-	cur     *Matrix
+	// base is the preprocessed base, built for baseM. cur is the fused
+	// matrix actually being served: baseM plus every mutation since the
+	// base was built.
+	base  liveBase
+	baseM *Matrix
+	cur   *Matrix
 
 	// overlay is the set of base rows (< baseM.Rows) whose contents
 	// differ from baseM — served from cur, masking the base kernel's
@@ -182,26 +181,76 @@ type liveState struct {
 
 func (st *liveState) mutated() bool { return len(st.overlay) > 0 || st.tailRows > 0 }
 
-// baseUnit picks the executor for the base rows: the online pipeline
-// (or, for breaker-routed fallback attempts, its no-reorder plan
-// directly) or the sharded pipeline.
-func (st *liveState) baseUnit(nrOnly bool) servingUnit {
-	if st.online != nil {
-		if nrOnly {
-			return st.online.nr
-		}
-		return st.online
-	}
-	return st.sharded
+// baseExec is what executes the base rows of a request.
+type baseExec interface {
+	SpMMIntoCtx(ctx context.Context, y *Dense, x *Dense) error
+	SDDMMIntoCtx(ctx context.Context, out *Matrix, x, y *Dense) error
 }
 
-// baseCfg is the Config the base was preprocessed under (its Epoch is
-// the structEpoch at base-build time).
-func (st *liveState) baseCfg() Config {
-	if st.online != nil {
-		return st.online.nr.plan.Cfg
+// liveBase is a live pipeline's preprocessed base: an *OnlinePipeline
+// (the §4 trial between reordered and plain plans) or a
+// *ShardedPipeline (nnz-balanced row panels, each with its own plan).
+// The live and serving layers reach the base only through it, so
+// neither asks which kind it holds.
+type liveBase interface {
+	baseExec
+	Matrix() *Matrix
+	// fallback is what the breaker routes a rejected attempt to;
+	// reordered reports whether the full path runs a plan other than
+	// the fallback — only then does the breaker engage.
+	fallback() baseExec
+	reordered() bool
+	// plans lists every plan the base serves from: the pre-publish
+	// invariant gate checks them and the quarantine evicts them.
+	plans() []*Pipeline
+	// cfg is the Config the base was preprocessed under (its Epoch is
+	// the structEpoch at base-build time).
+	cfg() Config
+	// reskin rebuilds the base for a matrix with the same structure and
+	// new values in O(nnz); rebuild preprocesses a new matrix from
+	// scratch into a settled base of the same kind.
+	reskin(ctx context.Context, m *Matrix) (liveBase, error)
+	rebuild(ctx context.Context, m *Matrix, cfg Config, ring *obs.TraceRing, sink *eventSink) (liveBase, error)
+	// lead is the plan a call arriving now runs (a sharded base's first
+	// panel), for the kernel and stage reports.
+	lead() *Pipeline
+	// degradedErr is why the background build was abandoned (nil if it
+	// was not or has not settled yet); settled reports whether it has
+	// settled, and wait blocks until it does or ctx dies.
+	degradedErr() error
+	settled() bool
+	wait(ctx context.Context) error
+}
+
+// newBase builds a live pipeline's base over m. panelNNZ > 0 splits it
+// into row panels of ~panelNNZ nonzeros, built synchronously under ctx;
+// otherwise it is an online pipeline whose reordered build and trial
+// run in the background under life, tracing into ring and emitting its
+// trial_winner event to sink (both may be nil).
+func newBase(ctx, life context.Context, m *Matrix, cfg Config, panelNNZ int, ring *obs.TraceRing, sink *eventSink) (liveBase, error) {
+	if panelNNZ > 0 {
+		return asBase(NewShardedPipelineCtx(ctx, m, cfg, panelNNZ))
 	}
-	return st.sharded.panels[0].pipe.plan.Cfg
+	return asBase(newOnlinePipelineCtx(life, m, cfg, ring, sink))
+}
+
+// asBase returns a constructor's result as a liveBase, keeping a failed
+// build's nil pointer out of the interface.
+func asBase[B liveBase](b B, err error) (liveBase, error) {
+	if err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// checkShape rejects SpMM operands that do not fit the served matrix.
+func (st *liveState) checkShape(y, x *Dense) error {
+	cur := st.cur
+	if y.Rows != cur.Rows || y.Cols != x.Cols || x.Rows != cur.Cols {
+		return fmt.Errorf("%w: operands y %dx%d, x %dx%d vs %dx%d at epoch %d",
+			ErrStaleShape, y.Rows, y.Cols, x.Rows, x.Cols, cur.Rows, cur.Cols, st.epoch)
+	}
+	return nil
 }
 
 func newSDDMMPool(m *Matrix) *sync.Pool {
@@ -239,10 +288,9 @@ func newSDDMMPool(m *Matrix) *sync.Pool {
 // serving surface as Pipeline/OnlinePipeline/ShardedPipeline, so the
 // Server wraps every tenant in one.
 type LivePipeline struct {
-	ctx      context.Context
-	lcfg     LiveConfig
-	ring     *obs.TraceRing
-	shardNNZ int // >0: rebuilds re-shard at this target
+	ctx  context.Context
+	lcfg LiveConfig
+	ring *obs.TraceRing
 
 	state atomic.Pointer[liveState]
 
@@ -258,8 +306,9 @@ type LivePipeline struct {
 	degraded atomic.Pointer[degradeReason]
 
 	// sink receives decision events (plan swaps, overlay degradation)
-	// and is handed to every rebuilt online base for its trial_winner
-	// event. Fixed at construction; nil without an event ring.
+	// and is handed to every rebuilt base (an online base emits its
+	// trial_winner event there). Fixed at construction; nil without an
+	// event ring.
 	sink *eventSink
 
 	mutations    obs.Counter // published mutation batches
@@ -318,43 +367,40 @@ type LiveStats struct {
 // and Mutate keeps it current as the matrix changes. Background
 // rebuilds run under ctx: cancelling it stops them without degrading.
 func NewLivePipelineCtx(ctx context.Context, m *Matrix, cfg Config, lcfg LiveConfig) (*LivePipeline, error) {
-	o, err := newOnlinePipelineCtx(ctx, m, cfg, nil, nil)
+	b, err := newBase(ctx, ctx, m, cfg, 0, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	return newLive(ctx, o, nil, 0, lcfg, nil, nil), nil
+	return newLive(ctx, b, lcfg, nil, nil), nil
 }
 
 // NewLiveShardedPipelineCtx is NewLivePipelineCtx with a row-panel
 // sharded base (see NewShardedPipeline); rebuilds re-shard the fused
 // matrix at the same target.
 func NewLiveShardedPipelineCtx(ctx context.Context, m *Matrix, cfg Config, targetNNZ int, lcfg LiveConfig) (*LivePipeline, error) {
-	sp, err := NewShardedPipelineCtx(ctx, m, cfg, targetNNZ)
+	if targetNNZ <= 0 {
+		// One panel, now and after every rebuild: no CSR holds more
+		// than MaxInt32 nonzeros.
+		targetNNZ = math.MaxInt32
+	}
+	b, err := newBase(ctx, ctx, m, cfg, targetNNZ, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	return newLive(ctx, nil, sp, targetNNZ, lcfg, nil, nil), nil
+	return newLive(ctx, b, lcfg, nil, nil), nil
 }
 
-// newLive wraps an already-built base unit (exactly one of online or
-// sharded). ring, when non-nil, receives the rebuild traces and sink
-// the decision events (the Server passes its /debug/traces ring and
-// the tenant's sink; online must have been built with a sink for the
-// same tenant).
-func newLive(ctx context.Context, online *OnlinePipeline, sharded *ShardedPipeline, shardNNZ int, lcfg LiveConfig, ring *obs.TraceRing, sink *eventSink) *LivePipeline {
+// newLive wraps an already-built base. ring, when non-nil, receives the
+// rebuild traces and sink the decision events (the Server passes its
+// /debug/traces ring and the tenant's sink, the same ones the base was
+// built with).
+func newLive(ctx context.Context, b liveBase, lcfg LiveConfig, ring *obs.TraceRing, sink *eventSink) *LivePipeline {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	l := &LivePipeline{ctx: ctx, lcfg: lcfg.withDefaults(), ring: ring, shardNNZ: shardNNZ, sink: sink}
-	var m *Matrix
-	if online != nil {
-		m = online.Matrix()
-	} else {
-		m = sharded.Matrix()
-	}
-	st := &liveState{online: online, sharded: sharded, baseM: m, cur: m, sddmmPool: newSDDMMPool(m)}
-	st.structEpoch = st.baseCfg().Epoch
-	l.state.Store(st)
+	l := &LivePipeline{ctx: ctx, lcfg: lcfg.withDefaults(), ring: ring, sink: sink}
+	m := b.Matrix()
+	l.state.Store(&liveState{structEpoch: b.cfg().Epoch, base: b, baseM: m, cur: m, sddmmPool: newSDDMMPool(m)})
 	return l
 }
 
@@ -365,11 +411,20 @@ func (l *LivePipeline) Matrix() *Matrix { return l.state.Load().cur }
 
 // Online returns the current base online pipeline (nil for a sharded
 // live pipeline). A rebuild swap replaces it; re-read after WaitRebuilt.
-func (l *LivePipeline) Online() *OnlinePipeline { return l.state.Load().online }
+func (l *LivePipeline) Online() *OnlinePipeline {
+	o, _ := l.state.Load().base.(*OnlinePipeline)
+	return o
+}
 
 // Sharded returns the current base sharded pipeline (nil for an online
 // live pipeline).
-func (l *LivePipeline) Sharded() *ShardedPipeline { return l.state.Load().sharded }
+func (l *LivePipeline) Sharded() *ShardedPipeline {
+	s, _ := l.state.Load().base.(*ShardedPipeline)
+	return s
+}
+
+// base returns the current base.
+func (l *LivePipeline) base() liveBase { return l.state.Load().base }
 
 // Epoch returns the current publish generation: it bumps by one per
 // applied mutation and per rebuild swap.
@@ -428,13 +483,7 @@ func (l *LivePipeline) overlayCost() (overlayNNZ, baseNNZ int64) {
 // for a pre-mutation shape are excised from the batch with
 // ErrStaleShape instead of failing (or corrupting) the batch.
 func (l *LivePipeline) validateBatchOp(op BatchOp) error {
-	st := l.state.Load()
-	if op.Y.Rows != st.cur.Rows || op.Y.Cols != op.X.Cols || op.X.Rows != st.cur.Cols {
-		return fmt.Errorf("%w: operands y %dx%d, x %dx%d vs %dx%d at epoch %d",
-			ErrStaleShape, op.Y.Rows, op.Y.Cols, op.X.Rows, op.X.Cols,
-			st.cur.Rows, st.cur.Cols, st.epoch)
-	}
-	return nil
+	return l.state.Load().checkShape(op.Y, op.X)
 }
 
 // UpdateValues applies a value-only mutation (see Mutation.UpdateValues).
@@ -524,26 +573,20 @@ func (l *LivePipeline) applyLocked(ctx context.Context, st *liveState, nm *Mutat
 		// Value-only on a clean state: re-skin the base through the plan
 		// cache (structure hit, O(nnz) value regather); the §4 trial
 		// decision carries over inside reskin.
-		var online *OnlinePipeline
-		var sharded *ShardedPipeline
-		if st.online != nil {
-			online, err = st.online.reskin(ctx, newCur)
-		} else {
-			sharded, err = st.sharded.reskin(ctx, newCur)
-		}
+		b, err := st.base.reskin(ctx, newCur)
 		if err != nil {
 			return nil, false, err
 		}
 		// Pre-publish invariant gate: a re-skin flows through the plan
 		// cache's gather maps, so a poisoned entry could hand back a
 		// structurally broken plan. Reject it before it can serve.
-		if cerr := checkBasePlans(online, sharded); cerr != nil {
+		if cerr := checkBasePlans(b); cerr != nil {
 			return nil, false, cerr
 		}
 		ns := &liveState{
 			structEpoch: st.structEpoch,
-			online:      online, sharded: sharded,
-			baseM: newCur, cur: newCur,
+			base:        b,
+			baseM:       newCur, cur: newCur,
 			sddmmPool: newSDDMMPool(newCur),
 		}
 		return ns, true, nil
@@ -579,8 +622,8 @@ func (l *LivePipeline) applyLocked(ctx context.Context, st *liveState, nm *Mutat
 	}
 	ns := &liveState{
 		structEpoch: se,
-		online:      st.online, sharded: st.sharded,
-		baseM: st.baseM, cur: newCur,
+		base:        st.base,
+		baseM:       st.baseM, cur: newCur,
 		overlay:    ov,
 		tailRows:   newCur.Rows - baseRows,
 		dirtySince: st.dirtySince,
@@ -767,14 +810,7 @@ func applyToMatrix(cur *Matrix, nm *Mutation) (*Matrix, error) {
 // base rows directly into y's prefix and the overlaid/appended rows are
 // filled from the fused matrix at output-scatter time.
 func (l *LivePipeline) SpMMIntoCtx(ctx context.Context, y *Dense, x *Dense) error {
-	return l.state.Load().spmmInto(ctx, y, x, false)
-}
-
-// spmmNRIntoCtx serves the breaker's no-reorder fallback with the same
-// overlay merge — a mutated tenant's fallback must not resurrect
-// pre-mutation data or shapes.
-func (l *LivePipeline) spmmNRIntoCtx(ctx context.Context, y *Dense, x *Dense) error {
-	return l.state.Load().spmmInto(ctx, y, x, true)
+	return l.state.Load().spmmInto(ctx, y, x, modeFull)
 }
 
 // SpMMBatchIntoCtx computes every op's Y = S·X in one batched kernel
@@ -782,39 +818,6 @@ func (l *LivePipeline) spmmNRIntoCtx(ctx context.Context, y *Dense, x *Dense) er
 // pinned epoch.
 func (l *LivePipeline) SpMMBatchIntoCtx(ctx context.Context, ops []BatchOp) error {
 	return kernels.SpMMBatchIntoCtx(ctx, l, ops)
-}
-
-// refSpMMIntoCtx serves y = cur·x through the plain row-wise kernel on
-// the fused, original-order matrix — the integrity quarantine path. It
-// shares no transformed representation (permutation, tiles, slabs,
-// gather maps) with any plan under suspicion, and it is bit-identical
-// to the cold-rebuild oracle (repro.SpMM runs the same kernel on the
-// same matrix). Note this is distinct from the breaker's NR fallback:
-// for a sharded tenant the NR fallback IS the sharded pipeline, which
-// may be the very thing quarantined.
-func (l *LivePipeline) refSpMMIntoCtx(ctx context.Context, y *Dense, x *Dense) error {
-	st := l.state.Load()
-	cur := st.cur
-	if y.Rows != cur.Rows || y.Cols != x.Cols || x.Rows != cur.Cols {
-		return fmt.Errorf("%w: operands y %dx%d, x %dx%d vs %dx%d at epoch %d",
-			ErrStaleShape, y.Rows, y.Cols, x.Rows, x.Cols, cur.Rows, cur.Cols, st.epoch)
-	}
-	return kernels.SpMMRowWiseIntoCtx(ctx, y, cur, x)
-}
-
-// refSDDMMIntoCtx is the SDDMM quarantine path (see refSpMMIntoCtx).
-func (l *LivePipeline) refSDDMMIntoCtx(ctx context.Context, out *Matrix, x, y *Dense) error {
-	st := l.state.Load()
-	cur := st.cur
-	if out != cur && !out.SameStructure(cur) {
-		return fmt.Errorf("%w: SDDMM output structure differs from the live matrix at epoch %d",
-			ErrStaleShape, st.epoch)
-	}
-	if y.Rows != cur.Rows || x.Rows != cur.Cols || x.Cols != y.Cols {
-		return fmt.Errorf("%w: operands y %dx%d, x %dx%d vs %dx%d at epoch %d",
-			ErrStaleShape, y.Rows, y.Cols, x.Rows, x.Cols, cur.Rows, cur.Cols, st.epoch)
-	}
-	return kernels.SDDMMRowWiseIntoCtx(ctx, out, cur, x, y)
 }
 
 // baseGen identifies the current base-plan generation for the
@@ -847,29 +850,38 @@ func (l *LivePipeline) ForceRebuild() {
 // and disk snapshot), so the healing rebuild recomputes them from
 // scratch instead of reloading the suspect entries.
 func (l *LivePipeline) evictPlans() {
-	st := l.state.Load()
 	pc := planCache.Load()
-	if st.online != nil {
-		cfg := st.baseCfg()
-		pc.Evict(st.baseM, cfg, plancache.Full)
-		pc.Evict(st.baseM, cfg, plancache.NR)
-		return
-	}
-	for i := range st.sharded.panels {
-		pn := &st.sharded.panels[i]
-		cfg := pn.pipe.plan.Cfg
-		pc.Evict(pn.pipe.Matrix(), cfg, plancache.Full)
-		pc.Evict(pn.pipe.Matrix(), cfg, plancache.NR)
+	for _, p := range l.base().plans() {
+		pc.Evict(p.Matrix(), p.plan.Cfg, plancache.Full)
+		pc.Evict(p.Matrix(), p.plan.Cfg, plancache.NR)
 	}
 }
 
-func (st *liveState) spmmInto(ctx context.Context, y *Dense, x *Dense, nrOnly bool) error {
-	cur := st.cur
-	if y.Rows != cur.Rows || y.Cols != x.Cols || x.Rows != cur.Cols {
-		return fmt.Errorf("%w: operands y %dx%d, x %dx%d vs %dx%d at epoch %d",
-			ErrStaleShape, y.Rows, y.Cols, x.Rows, x.Cols, cur.Rows, cur.Cols, st.epoch)
+// execFor picks what computes the base rows in mode: the base itself,
+// or the breaker's fallback unit. Quarantine never reaches it.
+func (st *liveState) execFor(mode serveMode) baseExec {
+	if mode == modeFallback {
+		return st.base.fallback()
 	}
-	base := st.baseUnit(nrOnly)
+	return st.base
+}
+
+// spmmInto serves one SpMM in mode with the overlay merged — a mutated
+// tenant's fallback must not resurrect pre-mutation data or shapes.
+// The quarantine mode runs the plain row-wise kernel on the fused,
+// original-order matrix: it shares no transformed representation
+// (permutation, tiles, slabs, gather maps) with any plan under
+// suspicion, and it is bit-identical to the cold-rebuild oracle
+// (repro.SpMM runs the same kernel on the same matrix).
+func (st *liveState) spmmInto(ctx context.Context, y *Dense, x *Dense, mode serveMode) error {
+	cur := st.cur
+	if err := st.checkShape(y, x); err != nil {
+		return err
+	}
+	if mode == modeQuarantine {
+		return kernels.SpMMRowWiseIntoCtx(ctx, y, cur, x)
+	}
+	base := st.execFor(mode)
 	if !st.mutated() {
 		return base.SpMMIntoCtx(ctx, y, x)
 	}
@@ -908,7 +920,7 @@ func (st *liveState) spmmInto(ctx context.Context, y *Dense, x *Dense, nrOnly bo
 	// into the breaker/quarantine fallback path, and only an armed
 	// CorruptAt hook corrupts (the generic chaos soak's ErrorAt sweep
 	// is a no-op here).
-	if err := faultinject.Fire("integrity.corrupt.overlay"); errors.Is(err, faultinject.ErrCorrupt) && !nrOnly && y.Cols > 0 {
+	if err := faultinject.Fire("integrity.corrupt.overlay"); errors.Is(err, faultinject.ErrCorrupt) && mode != modeFallback && y.Cols > 0 {
 		r := -1
 		for ov := range st.overlay {
 			if r < 0 || ov < r {
@@ -929,15 +941,11 @@ func (st *liveState) spmmInto(ctx context.Context, y *Dense, x *Dense, nrOnly bo
 // SDDMMIntoCtx computes O = S ⊙ (Y·Xᵀ) against the current epoch; out
 // must have the current fused matrix's structure.
 func (l *LivePipeline) SDDMMIntoCtx(ctx context.Context, out *Matrix, x, y *Dense) error {
-	return l.state.Load().sddmmInto(ctx, out, x, y, false)
+	return l.state.Load().sddmmInto(ctx, out, x, y, modeFull)
 }
 
-// sddmmNRIntoCtx is the breaker-fallback SDDMM with the overlay merge.
-func (l *LivePipeline) sddmmNRIntoCtx(ctx context.Context, out *Matrix, x, y *Dense) error {
-	return l.state.Load().sddmmInto(ctx, out, x, y, true)
-}
-
-func (st *liveState) sddmmInto(ctx context.Context, out *Matrix, x, y *Dense, nrOnly bool) error {
+// sddmmInto is spmmInto's SDDMM analog.
+func (st *liveState) sddmmInto(ctx context.Context, out *Matrix, x, y *Dense, mode serveMode) error {
 	cur := st.cur
 	if out != cur && !out.SameStructure(cur) {
 		return fmt.Errorf("%w: SDDMM output structure differs from the live matrix at epoch %d",
@@ -947,7 +955,10 @@ func (st *liveState) sddmmInto(ctx context.Context, out *Matrix, x, y *Dense, nr
 		return fmt.Errorf("%w: operands y %dx%d, x %dx%d vs %dx%d at epoch %d",
 			ErrStaleShape, y.Rows, y.Cols, x.Rows, x.Cols, cur.Rows, cur.Cols, st.epoch)
 	}
-	base := st.baseUnit(nrOnly)
+	if mode == modeQuarantine {
+		return kernels.SDDMMRowWiseIntoCtx(ctx, out, cur, x, y)
+	}
+	base := st.execFor(mode)
 	if !st.mutated() {
 		return base.SDDMMIntoCtx(ctx, out, x, y)
 	}
@@ -1082,36 +1093,16 @@ func (l *LivePipeline) rebuildAttempt() (err error) {
 	l.pending = nil
 	l.mu.Unlock()
 
-	cfg := st.baseCfg()
+	cfg := st.base.cfg()
 	cfg.Epoch = snapEpoch
-	var online *OnlinePipeline
-	var sharded *ShardedPipeline
-	if st.online != nil {
-		online, err = newOnlinePipelineCtx(l.ctx, snapM, cfg, l.ring, l.sink)
-		if err != nil {
-			return err
-		}
-		// The rebuilt base decides its trial before it can publish, so
-		// no request after the swap pays for it.
-		if werr := online.WaitPreprocessed(l.ctx); werr != nil {
-			return werr
-		}
-		if d, derr := online.Degraded(); d {
-			// The reordered build ran over budget or failed. %v (not %w):
-			// a budget timeout carries context.DeadlineExceeded, which
-			// the retry loop must not mistake for OUR context dying.
-			return fmt.Errorf("repro: rebuilt pipeline degraded: %v", derr)
-		}
-	} else {
-		sharded, err = NewShardedPipelineCtx(l.ctx, snapM, cfg, l.shardNNZ)
-		if err != nil {
-			return err
-		}
+	b, err := st.base.rebuild(l.ctx, snapM, cfg, l.ring, l.sink)
+	if err != nil {
+		return err
 	}
 	// Pre-swap invariant gate (outside the lock — O(rows+nnz)): a
 	// structurally corrupt rebuild counts as a failed attempt and never
 	// publishes; the retry/degrade machinery owns what happens next.
-	if err := checkBasePlans(online, sharded); err != nil {
+	if err := checkBasePlans(b); err != nil {
 		return err
 	}
 	// Fingerprint the rebuilt base for the swap event while still off
@@ -1119,11 +1110,7 @@ func (l *LivePipeline) rebuildAttempt() (err error) {
 	var swapFP, swapKernel string
 	if l.sink != nil {
 		swapFP = plancache.Fingerprint(snapM, cfg, plancache.Full)
-		if online != nil {
-			swapKernel = online.Kernel().String()
-		} else {
-			swapKernel = sharded.PanelKernel(0).String()
-		}
+		swapKernel = b.lead().Kernel().String()
 	}
 
 	l.mu.Lock()
@@ -1134,8 +1121,8 @@ func (l *LivePipeline) rebuildAttempt() (err error) {
 	cur := l.state.Load()
 	ns := &liveState{
 		structEpoch: snapEpoch,
-		online:      online, sharded: sharded,
-		baseM: snapM, cur: snapM,
+		base:        b,
+		baseM:       snapM, cur: snapM,
 		sddmmPool: newSDDMMPool(snapM),
 	}
 	for _, nm := range l.pending {
@@ -1164,29 +1151,15 @@ func (l *LivePipeline) rebuildAttempt() (err error) {
 
 // checkBasePlans validates the pre-swap structural invariants
 // (integrity.CheckPlan: permutation bijectivity, RowPtr monotonicity,
-// index ranges) of every plan a base unit serves from — the NR plan
-// and trial winner of an online base, or every panel of a sharded one.
-// Exactly one of online/sharded is non-nil.
-func checkBasePlans(online *OnlinePipeline, sharded *ShardedPipeline) error {
-	if online != nil {
-		if err := checkPipelinePlan(online.nr); err != nil {
-			return err
-		}
-		if w := online.serving.Load(); w != online.nr {
-			return checkPipelinePlan(w)
-		}
-		return nil
-	}
-	for i := range sharded.panels {
-		if err := checkPipelinePlan(sharded.panels[i].pipe); err != nil {
+// index ranges) of every plan a base serves from — the NR plan and
+// trial winner of an online base, or every panel of a sharded one.
+func checkBasePlans(b liveBase) error {
+	for _, p := range b.plans() {
+		if err := integrity.CheckPlan(p.plan.RowPerm, p.plan.InvRowPerm, p.plan.Reordered); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-func checkPipelinePlan(p *Pipeline) error {
-	return integrity.CheckPlan(p.plan.RowPerm, p.plan.InvRowPerm, p.plan.Reordered)
 }
 
 // Rebuilding reports whether a background re-preprocess is in flight.

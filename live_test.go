@@ -240,6 +240,7 @@ func liveTestConfig() repro.Config {
 // every batch. Cancelled-context mutations are interleaved and must
 // change nothing.
 func TestLiveOverlayBitIdentity(t *testing.T) {
+	warmKernelPool(t, freshScrambled(t, 1))
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, flavor := range []string{"online", "sharded"} {
@@ -298,41 +299,80 @@ func TestLiveOverlayBitIdentity(t *testing.T) {
 
 // TestLiveValueReskinPublishesCleanState asserts that value-only
 // mutations on a clean pipeline re-skin the base (no overlay, no
-// rebuild) and stay bit-identical.
+// rebuild) and stay bit-identical. A sharded base must re-skin onto the
+// same panel layout through plan-cache hits only.
 func TestLiveValueReskinPublishesCleanState(t *testing.T) {
-	defer testutil.CheckNoGoroutineLeak(t)()
-	rng := rand.New(rand.NewSource(7))
-	mo := newLiveModel(64, 48, 6, rng)
-	l, err := repro.NewLivePipelineCtx(context.Background(), mo.matrix(t), liveTestConfig(), repro.LiveConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		var mu repro.Mutation
-		for len(mu.UpdateValues) == 0 {
-			r := rng.Intn(len(mo.rows))
-			if len(mo.rows[r]) > 0 {
-				c := mo.rows[r][rng.Intn(len(mo.rows[r]))]
-				mu.UpdateValues = append(mu.UpdateValues,
-					repro.ValueUpdate{Row: r, Col: int(c), Val: float32(1 + rng.Intn(7))})
+	warmKernelPool(t, freshScrambled(t, 1))
+	for _, flavor := range []string{"online", "sharded"} {
+		t.Run(flavor, func(t *testing.T) {
+			defer testutil.CheckNoGoroutineLeak(t)()
+			rng := rand.New(rand.NewSource(7))
+			mo := newLiveModel(64, 48, 6, rng)
+			m := mo.matrix(t)
+			var l *repro.LivePipeline
+			var err error
+			if flavor == "online" {
+				l, err = repro.NewLivePipelineCtx(context.Background(), m, liveTestConfig(), repro.LiveConfig{})
+			} else {
+				l, err = repro.NewLiveShardedPipelineCtx(context.Background(), m, liveTestConfig(), m.NNZ()/3+1, repro.LiveConfig{})
 			}
-		}
-		if err := l.Mutate(context.Background(), mu); err != nil {
-			t.Fatalf("value mutation %d: %v", i, err)
-		}
-		mo.apply(t, mu)
-		assertLiveMatchesModel(t, l, mo, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			panels := shardPanelRanges(l.Sharded())
+			if flavor == "sharded" && len(panels) < 2 {
+				t.Fatalf("sharded base has %d panels, want several", len(panels))
+			}
+			for i := 0; i < 5; i++ {
+				var mu repro.Mutation
+				for len(mu.UpdateValues) == 0 {
+					r := rng.Intn(len(mo.rows))
+					if len(mo.rows[r]) > 0 {
+						c := mo.rows[r][rng.Intn(len(mo.rows[r]))]
+						mu.UpdateValues = append(mu.UpdateValues,
+							repro.ValueUpdate{Row: r, Col: int(c), Val: float32(1 + rng.Intn(7))})
+					}
+				}
+				misses := repro.PlanCacheStats().Misses
+				if err := l.Mutate(context.Background(), mu); err != nil {
+					t.Fatalf("value mutation %d: %v", i, err)
+				}
+				if flavor == "sharded" {
+					if got := repro.PlanCacheStats().Misses; got != misses {
+						t.Fatalf("value mutation %d: sharded re-skin missed the plan cache %d times", i, got-misses)
+					}
+					if got := shardPanelRanges(l.Sharded()); !slices.Equal(got, panels) {
+						t.Fatalf("value mutation %d moved the panels: %v, was %v", i, got, panels)
+					}
+				}
+				mo.apply(t, mu)
+				assertLiveMatchesModel(t, l, mo, rng)
+			}
+			st := l.Stats()
+			if st.Reskins != st.Mutations || st.Reskins == 0 {
+				t.Fatalf("want every value-only mutation re-skinned, got %+v", st)
+			}
+			if st.OverlayRows != 0 || st.TailRows != 0 || st.RebuildsStarted != 0 {
+				t.Fatalf("value-only mutations dirtied the overlay or armed rebuilds: %+v", st)
+			}
+			if st.StructEpoch != 0 {
+				t.Fatalf("value-only mutations bumped the structural epoch to %d", st.StructEpoch)
+			}
+		})
 	}
-	st := l.Stats()
-	if st.Reskins != st.Mutations || st.Reskins == 0 {
-		t.Fatalf("want every value-only mutation re-skinned, got %+v", st)
+}
+
+// shardPanelRanges lists a sharded base's panel row ranges (nil for a
+// nil base).
+func shardPanelRanges(sh *repro.ShardedPipeline) [][2]int {
+	if sh == nil {
+		return nil
 	}
-	if st.OverlayRows != 0 || st.TailRows != 0 || st.RebuildsStarted != 0 {
-		t.Fatalf("value-only mutations dirtied the overlay or armed rebuilds: %+v", st)
+	r := make([][2]int, sh.Panels())
+	for i := range r {
+		r[i][0], r[i][1] = sh.PanelRange(i)
 	}
-	if st.StructEpoch != 0 {
-		t.Fatalf("value-only mutations bumped the structural epoch to %d", st.StructEpoch)
-	}
+	return r
 }
 
 // TestLiveRebuildSwapDrainsOverlay mutates structurally with rebuilding
@@ -340,6 +380,7 @@ func TestLiveValueReskinPublishesCleanState(t *testing.T) {
 // into a fresh base under a bumped structural epoch — with the counter
 // identities exact and serving still bit-identical.
 func TestLiveRebuildSwapDrainsOverlay(t *testing.T) {
+	warmKernelPool(t, freshScrambled(t, 1))
 	for _, flavor := range []string{"online", "sharded"} {
 		t.Run(flavor, func(t *testing.T) {
 			defer testutil.CheckNoGoroutineLeak(t)()
@@ -427,6 +468,7 @@ func TestLiveRebuildSwapDrainsOverlay(t *testing.T) {
 // every invalid batch is rejected whole with ErrMutation and the
 // published state does not move.
 func TestLiveMutationValidation(t *testing.T) {
+	warmKernelPool(t, freshScrambled(t, 1))
 	defer testutil.CheckNoGoroutineLeak(t)()
 	rng := rand.New(rand.NewSource(3))
 	mo := newLiveModel(16, 12, 4, rng)
@@ -482,6 +524,7 @@ func TestLiveMutationValidation(t *testing.T) {
 // growth with ErrOverlayFull without corrupting state, and that the
 // pipeline keeps serving.
 func TestLiveOverlayFull(t *testing.T) {
+	warmKernelPool(t, freshScrambled(t, 1))
 	defer testutil.CheckNoGoroutineLeak(t)()
 	rng := rand.New(rand.NewSource(5))
 	mo := newLiveModel(16, 12, 4, rng)
@@ -517,6 +560,7 @@ func TestLiveOverlayFull(t *testing.T) {
 // degrade the pipeline to overlay-forever serving — still bit-correct,
 // with the attempt ledger reconciling exactly.
 func TestLiveFaultSites(t *testing.T) {
+	warmKernelPool(t, freshScrambled(t, 1))
 	t.Run("overlay.append", func(t *testing.T) {
 		defer testutil.CheckNoGoroutineLeak(t)()
 		defer faultinject.Reset()
@@ -585,6 +629,160 @@ func TestLiveFaultSites(t *testing.T) {
 			assertLiveMatchesModel(t, l, mo, rng)
 			if st := l.Stats(); st.RebuildsStarted != 2 || st.Rebuilding {
 				t.Fatalf("degraded pipeline armed another rebuild: %+v", st)
+			}
+		})
+	}
+}
+
+// TestServerDegradedModesServeOverlay serves SpMM and SDDMM through the
+// breaker's fallback and through the integrity quarantine on a tenant
+// whose overlay holds replaced, deleted and appended rows, and asserts
+// both modes are bit-identical to the row-wise kernels on the fused
+// matrix. The replaced rows double their values and the deleted rows
+// had entries, and every operand entry is positive, so a degraded mode
+// that served the pre-mutation base rows would change the output. The
+// overlay corruption site stays armed throughout: it must never fire on
+// either path.
+func TestServerDegradedModesServeOverlay(t *testing.T) {
+	warmKernelPool(t, freshScrambled(t, 1))
+	for _, mode := range []string{"fallback", "quarantine"} {
+		t.Run(mode, func(t *testing.T) {
+			defer testutil.CheckNoGoroutineLeak(t)()
+			defer faultinject.Reset()
+			ctx := context.Background()
+			rng := rand.New(rand.NewSource(51))
+			mo := newLiveModel(64, 48, 6, rng)
+			scfg := repro.ServerConfig{
+				MaxAttempts:        1,
+				BreakerThreshold:   1,
+				BreakerCooldown:    time.Hour,
+				RebuildMaxAttempts: 1,
+			}
+			if mode == "quarantine" {
+				// Verify every row of every request; the mismatched
+				// request retries through the quarantine.
+				scfg.MaxAttempts = 2
+				scfg.VerifyFraction, scfg.VerifyRows = 1, -1
+			}
+			s, err := repro.NewServer(ctx, mo.matrix(t), liveTestConfig(), scfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				cctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+				defer cancel()
+				if err := s.Close(cctx); err != nil {
+					t.Errorf("Close: %v", err)
+				}
+			}()
+			if err := s.Pipeline().WaitPreprocessed(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if err := repro.ServeReorderedForTest(s.Pipeline()); err != nil {
+				t.Fatal(err)
+			}
+
+			var mu repro.Mutation
+			for r := 0; len(mu.ReplaceRows)+len(mu.DeleteRows) < 6; r++ {
+				switch {
+				case len(mo.rows[r]) == 0:
+				case len(mu.ReplaceRows) < 3:
+					vals := slices.Clone(mo.vals[r])
+					for i := range vals {
+						vals[i] *= 2
+					}
+					mu.ReplaceRows = append(mu.ReplaceRows, repro.RowUpdate{Row: r,
+						Def: repro.RowDef{Cols: slices.Clone(mo.rows[r]), Vals: vals}})
+				default:
+					mu.DeleteRows = append(mu.DeleteRows, r)
+				}
+			}
+			mu.AppendRows = []repro.RowDef{
+				{Cols: []int32{1, 7, 30}, Vals: []float32{2, 3, 4}},
+				{Cols: []int32{0, 47}, Vals: []float32{5, 1}},
+			}
+			// The rebuild this arms fails, degrading the tenant to
+			// overlay-forever serving, so the overlay holds still.
+			restore := faultinject.ErrorAt("live.rebuild.start")
+			if err := s.Mutate(ctx, mu); err != nil {
+				t.Fatal(err)
+			}
+			mo.apply(t, mu)
+			if err := s.Live().WaitRebuilt(ctx); err != nil {
+				t.Fatal(err)
+			}
+			restore()
+			if ls := s.Live().Stats(); !ls.Degraded || ls.OverlayRows != 6 || ls.TailRows != 2 {
+				t.Fatalf("want a degraded tenant holding 6 overlay and 2 tail rows, got %+v", ls)
+			}
+
+			ref := mo.matrix(t)
+			pos := func(rows, cols int) *repro.Dense {
+				d := intDense(rows, cols, rng)
+				for i := range d.Data {
+					d.Data[i]++
+				}
+				return d
+			}
+			x := pos(ref.Cols, 3)
+			if mode == "fallback" {
+				restore := faultinject.ErrorAt("kernels.exec")
+				if _, err := s.SpMM(ctx, x); !errors.Is(err, faultinject.Err) {
+					t.Fatalf("SpMM under kernel fault = %v, want faultinject.Err", err)
+				}
+				restore()
+				if st := s.Stats(); st.Breaker.Trips != 1 {
+					t.Fatalf("breaker did not trip: %+v", st.Breaker)
+				}
+			} else {
+				restore := faultinject.CorruptAt("integrity.corrupt.overlay")
+				if _, err := s.SpMM(ctx, x); err != nil {
+					t.Fatalf("SpMM retried through the quarantine = %v", err)
+				}
+				restore()
+				if ts, _ := s.TenantStats(repro.DefaultTenant); ts.Integrity.Quarantines != 1 || ts.Integrity.StillQuarantined != 1 {
+					t.Fatalf("tenant not quarantined: %+v", ts.Integrity)
+				}
+			}
+
+			defer faultinject.CorruptAt("integrity.corrupt.overlay")()
+			before := s.Stats()
+			ts0, _ := s.TenantStats(repro.DefaultTenant)
+			want, err := repro.SpMM(ref, x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			y := &repro.Dense{Rows: ref.Rows, Cols: 3, Data: make([]float32, ref.Rows*3)}
+			if err := s.SpMMInto(ctx, y, x); err != nil {
+				t.Fatalf("%s SpMM: %v", mode, err)
+			}
+			if !slices.Equal(y.Data, want.Data) {
+				t.Fatalf("%s SpMM is not bit-identical to the fused matrix", mode)
+			}
+			xs, ys := pos(ref.Cols, 3), pos(ref.Rows, 3)
+			wantS, err := repro.SDDMM(ref, xs, ys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := s.Live().Matrix().Clone()
+			if err := s.SDDMMInto(ctx, out, xs, ys); err != nil {
+				t.Fatalf("%s SDDMM: %v", mode, err)
+			}
+			if !slices.Equal(out.Val, wantS.Val) {
+				t.Fatalf("%s SDDMM is not bit-identical to the fused matrix", mode)
+			}
+
+			after := s.Stats()
+			ts1, _ := s.TenantStats(repro.DefaultTenant)
+			if after.Completed != before.Completed+2 {
+				t.Fatalf("completed %d -> %d, want +2", before.Completed, after.Completed)
+			}
+			if mode == "fallback" && after.Fallbacks != before.Fallbacks+2 {
+				t.Fatalf("fallbacks %d -> %d, want both requests on the fallback", before.Fallbacks, after.Fallbacks)
+			}
+			if mode == "quarantine" && ts1.Integrity != ts0.Integrity {
+				t.Fatalf("quarantined requests were verified (%+v -> %+v), not served by the reference path",
+					ts0.Integrity, ts1.Integrity)
 			}
 		})
 	}

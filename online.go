@@ -2,6 +2,7 @@ package repro
 
 import (
 	"context"
+	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -365,7 +366,7 @@ func (o *OnlinePipeline) decide(rr *Pipeline, rrTime, nrTime time.Duration) {
 // pipeline reskins to a degraded one (NR-only, same recorded cause). A
 // pipeline whose background build is still in flight is waited for
 // first: reskinning a moving target would race the build's decision.
-func (o *OnlinePipeline) reskin(ctx context.Context, m *Matrix) (*OnlinePipeline, error) {
+func (o *OnlinePipeline) reskin(ctx context.Context, m *Matrix) (liveBase, error) {
 	if err := o.WaitPreprocessed(ctx); err != nil {
 		return nil, err
 	}
@@ -384,4 +385,42 @@ func (o *OnlinePipeline) reskin(ctx context.Context, m *Matrix) (*OnlinePipeline
 	}
 	n.serving.Store(w)
 	return n, nil
+}
+
+// rebuild preprocesses m from scratch as a new online pipeline whose
+// trial decides before rebuild returns, so no request after the swap
+// pays for it. A degraded build is a failed rebuild.
+func (o *OnlinePipeline) rebuild(ctx context.Context, m *Matrix, cfg Config, ring *obs.TraceRing, sink *eventSink) (liveBase, error) {
+	n, err := newOnlinePipelineCtx(ctx, m, cfg, ring, sink)
+	if err != nil {
+		return nil, err
+	}
+	if err := n.WaitPreprocessed(ctx); err != nil {
+		return nil, err
+	}
+	if d, derr := n.Degraded(); d {
+		// The reordered build ran over budget or failed. %v (not %w): a
+		// budget timeout carries context.DeadlineExceeded, which the
+		// rebuild's retry loop must not mistake for its own context dying.
+		return nil, fmt.Errorf("repro: rebuilt pipeline degraded: %v", derr)
+	}
+	return n, nil
+}
+
+// The rest of liveBase: the breaker falls back to the no-reorder plan,
+// which the full path also runs until (and unless) reordering wins.
+
+func (o *OnlinePipeline) fallback() baseExec             { return o.nr }
+func (o *OnlinePipeline) reordered() bool                { return o.serving.Load() != o.nr }
+func (o *OnlinePipeline) cfg() Config                    { return o.nr.plan.Cfg }
+func (o *OnlinePipeline) lead() *Pipeline                { return o.serving.Load() }
+func (o *OnlinePipeline) settled() bool                  { return o.Preprocessed() }
+func (o *OnlinePipeline) wait(ctx context.Context) error { return o.WaitPreprocessed(ctx) }
+func (o *OnlinePipeline) degradedErr() error             { _, err := o.Degraded(); return err }
+
+func (o *OnlinePipeline) plans() []*Pipeline {
+	if w := o.serving.Load(); w != o.nr {
+		return []*Pipeline{o.nr, w}
+	}
+	return []*Pipeline{o.nr}
 }

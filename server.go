@@ -48,7 +48,7 @@ type AdmissionStats = serve.AdmissionStats
 // BreakerStats reports the Server's circuit-breaker counters.
 type BreakerStats = serve.BreakerStats
 
-// ServerConfig tunes the resilience layer around an online pipeline.
+// ServerConfig tunes the resilience layer around the served tenants.
 // The zero value gets sensible serving defaults (see each field).
 type ServerConfig struct {
 	// MaxInFlight bounds concurrently executing work, in weight units:
@@ -356,16 +356,6 @@ type ServerStats struct {
 	Degraded bool
 }
 
-// servingUnit abstracts the two execution backends a tenant can serve
-// from: an OnlinePipeline (the §4 trial between reordered and plain
-// execution) or a ShardedPipeline (nnz-balanced row panels, each with
-// its own autotuned plan).
-type servingUnit interface {
-	SpMMIntoCtx(ctx context.Context, y *Dense, x *Dense) error
-	SpMMBatchIntoCtx(ctx context.Context, ops []BatchOp) error
-	SDDMMIntoCtx(ctx context.Context, out *Matrix, x, y *Dense) error
-}
-
 // tenant is one served matrix: its live (mutable) pipeline, admission
 // weight, optional request coalescer, and per-outcome counters. Every
 // tenant serves through a LivePipeline wrapping an online or sharded
@@ -427,16 +417,15 @@ type TenantStats struct {
 }
 
 func (t *tenant) stats() TenantStats {
-	sharded := t.live.Sharded()
 	ts := TenantStats{
-		ID: t.id, Weight: t.weight, Sharded: sharded != nil,
+		ID: t.id, Weight: t.weight,
 		Admitted: t.admitted.Value(), Completed: t.completed.Value(),
 		Failed: t.failed.Value(), Cancelled: t.cancelled.Value(),
 		Shed: t.shed.Value(), Expired: t.expired.Value(),
 		Live: t.live.Stats(), Integrity: t.integ.Stats(),
 	}
-	if sharded != nil {
-		ts.Panels = sharded.Panels()
+	if sp, ok := t.live.base().(*ShardedPipeline); ok {
+		ts.Sharded, ts.Panels = true, sp.Panels()
 	}
 	if t.coal != nil {
 		ts.Coalesce = t.coal.Stats()
@@ -444,8 +433,9 @@ func (t *tenant) stats() TenantStats {
 	return ts
 }
 
-// Server wraps an OnlinePipeline with the three layers a production
-// deployment hits before any kernel runs (DESIGN.md §10):
+// Server serves one or more tenant matrices, each through its own
+// LivePipeline, behind the three layers a production deployment hits
+// before any kernel runs (DESIGN.md §10):
 //
 //  1. admission control — a weighted semaphore with a bounded FIFO
 //     wait queue and per-request deadlines; overload sheds with a
@@ -535,22 +525,13 @@ func NewServer(ctx context.Context, m *Matrix, cfg Config, scfg ServerConfig) (*
 			Detail: from.String() + "->" + to.String(),
 		})
 	})
-	if scfg.ShardNNZ > 0 && m.NNZ() > scfg.ShardNNZ {
-		sharded, err := NewShardedPipelineCtx(sctx, m, cfg, scfg.ShardNNZ)
-		if err != nil {
-			cancel()
-			return nil, err
-		}
-		s.def = s.newTenant(DefaultTenant, 1, nil, sharded)
-	} else {
-		pipe, err := newOnlinePipelineCtx(sctx, m, cfg, traces, s.sink(DefaultTenant))
-		if err != nil {
-			cancel()
-			return nil, err
-		}
-		s.def = s.newTenant(DefaultTenant, 1, pipe, nil)
+	def, err := s.newTenant(sctx, DefaultTenant, m, cfg, 1)
+	if err != nil {
+		cancel()
+		return nil, err
 	}
-	s.tenants[DefaultTenant] = s.def
+	s.def = def
+	s.tenants[DefaultTenant] = def
 	s.completed = reg.Counter("spmmrr_server_completed_total",
 		"Requests that returned a result.")
 	s.failed = reg.Counter("spmmrr_server_failed_total",
@@ -571,11 +552,7 @@ func NewServer(ctx context.Context, m *Matrix, cfg Config, scfg ServerConfig) (*
 	reg.GaugeFunc("spmmrr_server_degraded",
 		"1 when the background reordered build was abandoned, else 0.",
 		func() float64 {
-			o := s.def.live.Online()
-			if o == nil {
-				return 0 // sharded default: no reordered trial to abandon
-			}
-			if d, _ := o.Degraded(); d {
+			if s.def.live.base().degradedErr() != nil {
 				return 1
 			}
 			return 0
@@ -602,17 +579,28 @@ func NewServer(ctx context.Context, m *Matrix, cfg Config, scfg ServerConfig) (*
 	return s, nil
 }
 
-// newTenant wires one tenant: its LivePipeline (every tenant serves
-// through one, so every tenant is mutable; background rebuilds run
-// under the server lifecycle and trace into the server ring), outcome
-// counters in the Server registry (labelled by tenant id), the request
-// coalescer when CoalesceWindow is on, and mirror counters so /metrics
-// carries per-tenant coalesce and live-mutation families.
-func (s *Server) newTenant(id string, weight int64, online *OnlinePipeline, sharded *ShardedPipeline) *tenant {
+// newTenant builds and wires one tenant: its LivePipeline (every tenant
+// serves through one, so every tenant is mutable; background builds
+// and rebuilds run under the server lifecycle and trace into the
+// server ring), outcome counters in the Server registry (labelled by
+// tenant id), the request coalescer when CoalesceWindow is on, and
+// mirror counters so /metrics carries per-tenant coalesce and
+// live-mutation families. A matrix crossing ShardNNZ gets a sharded
+// base, built synchronously under ctx.
+func (s *Server) newTenant(ctx context.Context, id string, m *Matrix, cfg Config, weight int64) (*tenant, error) {
 	if weight < 1 {
 		weight = 1
 	}
-	live := newLive(s.baseCtx, online, sharded, s.cfg.ShardNNZ, s.cfg.liveConfig(), s.traces, s.sink(id))
+	shard := 0
+	if s.cfg.ShardNNZ > 0 && m.NNZ() > s.cfg.ShardNNZ {
+		shard = s.cfg.ShardNNZ
+	}
+	sink := s.sink(id)
+	b, err := newBase(ctx, s.baseCtx, m, cfg, shard, s.traces, sink)
+	if err != nil {
+		return nil, err
+	}
+	live := newLive(s.baseCtx, b, s.cfg.liveConfig(), s.traces, sink)
 	t := &tenant{id: id, weight: weight, live: live,
 		integ: integrity.NewMonitor(s.cfg.VerifyFraction, s.cfg.ProbationRequests),
 		slo:   newSLOWindow(s.cfg.SLOTarget, s.cfg.SLOWindow)}
@@ -745,12 +733,12 @@ func (s *Server) newTenant(id string, weight int64, online *OnlinePipeline, shar
 	s.reg.CounterFunc("spmmrr_slo_violations_total",
 		"Requests that failed or exceeded the SLO latency target.",
 		func() int64 { return t.slo.violationTotal() }, obs.L("tenant", id))
-	return t
+	return t, nil
 }
 
 // sink returns the decision-event sink for tenant id. The tenant's
-// online base is built with it, so its trial_winner event always has a
-// ring to land in.
+// base is built with it, so an online base's trial_winner event always
+// has a ring to land in.
 func (s *Server) sink(id string) *eventSink { return &eventSink{ring: s.events, tenant: id} }
 
 // AddTenant registers a second matrix under id, served through the
@@ -779,19 +767,9 @@ func (s *Server) AddTenant(ctx context.Context, id string, m *Matrix, cfg Config
 	if dup {
 		return fmt.Errorf("%w: %q", ErrTenantExists, id)
 	}
-	var t *tenant
-	if s.cfg.ShardNNZ > 0 && m.NNZ() > s.cfg.ShardNNZ {
-		sharded, err := NewShardedPipelineCtx(ctx, m, cfg, s.cfg.ShardNNZ)
-		if err != nil {
-			return err
-		}
-		t = s.newTenant(id, weight, nil, sharded)
-	} else {
-		online, err := newOnlinePipelineCtx(s.baseCtx, m, cfg, s.traces, s.sink(id))
-		if err != nil {
-			return err
-		}
-		t = s.newTenant(id, weight, online, nil)
+	t, err := s.newTenant(ctx, id, m, cfg, weight)
+	if err != nil {
+		return err
 	}
 	s.tmu.Lock()
 	defer s.tmu.Unlock()
@@ -888,32 +866,18 @@ func (s *Server) LiveTenant(id string) (*LivePipeline, error) {
 // PlanStages returns the preprocessing stage breakdown of the plan the
 // server would execute on right now (see OnlinePipeline.PlanStages).
 // A sharded default tenant reports its first panel's stages.
-func (s *Server) PlanStages() StageTimings {
-	if o := s.def.live.Online(); o != nil {
-		return o.PlanStages()
-	}
-	return s.def.live.Sharded().panels[0].pipe.PlanStages()
-}
+func (s *Server) PlanStages() StageTimings { return s.def.live.base().lead().PlanStages() }
 
 // Kernel returns the SpMM kernel of the plan the server would execute
 // on right now (see OnlinePipeline.Kernel). A sharded default tenant
 // reports its first panel's kernel; other panels may differ (see
 // ShardedPipeline.PanelKernel).
-func (s *Server) Kernel() Kernel {
-	if o := s.def.live.Online(); o != nil {
-		return o.Kernel()
-	}
-	return s.def.live.Sharded().PanelKernel(0)
-}
+func (s *Server) Kernel() Kernel { return s.def.live.base().lead().Kernel() }
 
 // Stats returns a snapshot of every resilience counter. Every number
 // is read from the same registry objects /metrics renders, so the two
 // views cannot disagree.
 func (s *Server) Stats() ServerStats {
-	degraded := false
-	if o := s.def.live.Online(); o != nil {
-		degraded, _ = o.Degraded()
-	}
 	return ServerStats{
 		Admission: s.adm.Stats(),
 		Breaker:   s.brk.Stats(),
@@ -921,7 +885,7 @@ func (s *Server) Stats() ServerStats {
 		Failed:    s.failed.Value(),
 		Retries:   s.retries.Value(),
 		Fallbacks: s.fallbacks.Value(),
-		Degraded:  degraded,
+		Degraded:  s.def.live.base().degradedErr() != nil,
 	}
 }
 
@@ -968,7 +932,7 @@ func (s *Server) ObsHandler() http.Handler {
 // ready) — the /readyz condition.
 func (s *Server) preprocessed() bool {
 	for _, t := range s.snapshotTenants() {
-		if o := t.live.Online(); o != nil && !o.Preprocessed() {
+		if !t.live.base().settled() {
 			return false
 		}
 	}
@@ -1038,22 +1002,18 @@ const (
 	modeQuarantine
 )
 
-// runSpMM executes one SpMM attempt: the breaker's no-reorder fallback
-// runs direct (per-request, uncoalesced, with the live overlay merged —
-// a mutated tenant's fallback must not resurrect pre-mutation data);
-// a quarantined tenant serves the reference row-wise kernel on the
-// unpermuted matrix; the main path goes through the tenant's coalescer
-// when one is configured, with sampled requests shadow-verified after
-// the batch lands. Shapes are validated before joining a batch so one
-// malformed request can never fail a batch it shares with well-formed
-// ones, and re-validated at batch launch in case a mutation landed in
-// between.
+// runSpMM executes one SpMM attempt: the breaker's fallback and the
+// quarantine's reference kernel run direct on the pinned live state
+// (per-request, uncoalesced; see liveState.spmmInto); the main path
+// goes through the tenant's coalescer when one is configured, with
+// sampled requests shadow-verified after the batch lands. Shapes are
+// validated before joining a batch so one malformed request can never
+// fail a batch it shares with well-formed ones, and re-validated at
+// batch launch in case a mutation landed in between.
 func (s *Server) runSpMM(ctx context.Context, t *tenant, mode serveMode, y, x *Dense) error {
 	switch mode {
-	case modeFallback:
-		return t.live.spmmNRIntoCtx(ctx, y, x)
-	case modeQuarantine:
-		return t.live.refSpMMIntoCtx(ctx, y, x)
+	case modeFallback, modeQuarantine:
+		return t.live.state.Load().spmmInto(ctx, y, x, mode)
 	case modeVerify:
 		return s.serveVerifiedSpMM(ctx, t, y, x)
 	}
@@ -1085,7 +1045,7 @@ func (s *Server) serveVerifiedSpMM(ctx context.Context, t *tenant, y, x *Dense) 
 		if err := t.coal.Do(ctx, BatchOp{Y: y, X: x}); err != nil {
 			return err
 		}
-	} else if err := st0.spmmInto(ctx, y, x, false); err != nil {
+	} else if err := st0.spmmInto(ctx, y, x, modeFull); err != nil {
 		return err
 	}
 	if st1 := t.live.state.Load(); st1 != st0 {
@@ -1102,22 +1062,17 @@ func (s *Server) serveVerifiedSpMM(ctx context.Context, t *tenant, y, x *Dense) 
 
 // runSDDMM is runSpMM's SDDMM analog (no coalescing on this path).
 func (s *Server) runSDDMM(ctx context.Context, t *tenant, mode serveMode, out *Matrix, x, y *Dense) error {
-	switch mode {
-	case modeFallback:
-		return t.live.sddmmNRIntoCtx(ctx, out, x, y)
-	case modeQuarantine:
-		return t.live.refSDDMMIntoCtx(ctx, out, x, y)
-	case modeVerify:
+	if mode == modeVerify {
 		return s.serveVerifiedSDDMM(ctx, t, out, x, y)
 	}
-	return t.live.SDDMMIntoCtx(ctx, out, x, y)
+	return t.live.state.Load().sddmmInto(ctx, out, x, y, mode)
 }
 
 // serveVerifiedSDDMM is serveVerifiedSpMM's SDDMM analog.
 func (s *Server) serveVerifiedSDDMM(ctx context.Context, t *tenant, out *Matrix, x, y *Dense) error {
 	gen := t.live.baseGen()
 	st0 := t.live.state.Load()
-	if err := st0.sddmmInto(ctx, out, x, y, false); err != nil {
+	if err := st0.sddmmInto(ctx, out, x, y, modeFull); err != nil {
 		return err
 	}
 	if st1 := t.live.state.Load(); st1 != st0 {
@@ -1286,12 +1241,12 @@ func (s *Server) do(ctx context.Context, t *tenant, op string, hist *obs.Histogr
 // quarantined tenant serves the reference path outright (no breaker
 // accounting — the transformed plans aren't exercised), and a sampled
 // healthy request upgrades to modeVerify. The breaker is then
-// consulted only when the call would actually exercise the reordered
-// path: a sharded tenant (every panel autotunes its own plan, no
-// matrix-wide reorder trial), a degraded pipeline, a trial decided
-// for no-reorder, or a build whose trial has not yet decided all
-// serve without the reordered plan, and their outcomes must not open
-// (or close) the reordered path's circuit. A verification mismatch is
+// consulted only when the base's full path runs a plan other than its
+// fallback (liveBase.reordered): an online base whose trial picked
+// reordering. Every other base — sharded, degraded, decided for
+// no-reorder, or still building — already serves its fallback plan,
+// so its outcomes must not open (or close) the reordered path's
+// circuit. A verification mismatch is
 // likewise excluded from breaker accounting: the quarantine owns that
 // failure mode, and double-charging it would conflate "plan computes
 // wrong numbers" with "path is unhealthy" in the fallback ledgers.
@@ -1308,7 +1263,7 @@ func (s *Server) attempt(ctx context.Context, t *tenant, run func(context.Contex
 	if dec.Verify {
 		mode = modeVerify
 	}
-	if !reorderedPathActive(t) {
+	if !t.live.base().reordered() {
 		tr.Annotate("path", "plain")
 		return run(ctx, mode)
 	}
@@ -1333,15 +1288,6 @@ func (s *Server) attempt(ctx context.Context, t *tenant, run func(context.Contex
 		s.brk.Failure()
 	}
 	return err
-}
-
-// reorderedPathActive reports whether a full-path call for t right now
-// would execute the reordered plan. Sharded tenants (panels autotune,
-// no reorder trial), builds still in flight, degraded pipelines and
-// trials decided for no-reorder all serve the no-reorder plan.
-func reorderedPathActive(t *tenant) bool {
-	o := t.live.Online()
-	return o != nil && o.serving.Load() != o.nr
 }
 
 // Mutate applies one mutation batch to the default tenant's live
@@ -1420,10 +1366,8 @@ func (s *Server) Close(ctx context.Context) error {
 			if qerr := t.live.Quiesce(ctx); err == nil {
 				err = qerr
 			}
-			if o := t.live.Online(); o != nil {
-				if werr := o.WaitPreprocessed(ctx); err == nil {
-					err = werr
-				}
+			if werr := t.live.base().wait(ctx); err == nil {
+				err = werr
 			}
 		}
 		if s.cfg.PlanDir != "" {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/dense"
 	"repro/internal/kernels"
+	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/sparse"
 )
@@ -35,6 +36,7 @@ import (
 // surface so the serving layer can treat the two interchangeably.
 type ShardedPipeline struct {
 	orig   *Matrix
+	target int // panel nnz target; reskins and rebuilds re-split at it
 	panels []shardPanel
 
 	// views pools the per-call panel view structs (dense row-range
@@ -67,7 +69,7 @@ func panelBounds(m *Matrix, targetNNZ int) [][2]int {
 	if targetNNZ <= 0 || nnz == 0 || m.Rows <= 1 {
 		return [][2]int{{0, m.Rows}}
 	}
-	p := (nnz + targetNNZ - 1) / targetNNZ
+	p := 1 + (nnz-1)/targetNNZ
 	if p > m.Rows {
 		p = m.Rows
 	}
@@ -103,9 +105,20 @@ func NewShardedPipeline(m *Matrix, cfg Config, targetNNZ int) (*ShardedPipeline,
 // NewShardedPipelineCtx is NewShardedPipeline with cooperative
 // cancellation of the per-panel preprocessing builds.
 func NewShardedPipelineCtx(ctx context.Context, m *Matrix, cfg Config, targetNNZ int) (*ShardedPipeline, error) {
+	s, err := newShardedPipeline(ctx, m, cfg, targetNNZ)
+	if err != nil {
+		return nil, err
+	}
+	recordShardPanels(len(s.panels))
+	return s, nil
+}
+
+// newShardedPipeline builds the panels without recording them in the
+// panel-count metric, which counts constructed pipelines only.
+func newShardedPipeline(ctx context.Context, m *Matrix, cfg Config, targetNNZ int) (*ShardedPipeline, error) {
 	bounds := panelBounds(m, targetNNZ)
-	s := &ShardedPipeline{orig: m, panels: make([]shardPanel, len(bounds))}
 	np := len(bounds)
+	s := &ShardedPipeline{orig: m, target: targetNNZ, panels: make([]shardPanel, np)}
 	err := par.DoCtx(ctx, np, func(w int) error {
 		lo, hi := bounds[w][0], bounds[w][1]
 		base, end := int(m.RowPtr[lo]), int(m.RowPtr[hi])
@@ -136,48 +149,7 @@ func NewShardedPipelineCtx(ctx context.Context, m *Matrix, cfg Config, targetNNZ
 			outs: make([]sparse.CSR, np),
 		}
 	}
-	recordShardPanels(np)
 	return s, nil
-}
-
-// reskin rebuilds the sharded pipeline for a matrix with the *same
-// sparsity structure* but new nonzero values — the value-only mutation
-// path of a live sharded tenant. The panel bounds are inherited (the
-// structure, and therefore the nnz balance, is unchanged), each panel's
-// rebased RowPtr is shared with the old panel, and every per-panel
-// plan-cache lookup hits on structure, so the whole rebuild is an
-// O(nnz) value regather — no LSH, clustering, or tiling.
-func (s *ShardedPipeline) reskin(ctx context.Context, m *Matrix) (*ShardedPipeline, error) {
-	np := len(s.panels)
-	n := &ShardedPipeline{orig: m, panels: make([]shardPanel, np)}
-	err := par.DoCtx(ctx, np, func(w int) error {
-		pn := s.panels[w]
-		old := pn.pipe.Matrix()
-		end := pn.base + old.NNZ()
-		sub := &sparse.CSR{
-			Rows:   old.Rows,
-			Cols:   old.Cols,
-			RowPtr: old.RowPtr, // rebased pointers are structure: unchanged
-			ColIdx: m.ColIdx[pn.base:end:end],
-			Val:    m.Val[pn.base:end:end],
-		}
-		pipe, err := NewPipelineCtx(ctx, sub, pn.pipe.plan.Cfg)
-		if err != nil {
-			return fmt.Errorf("repro: reskinning panel %d (rows %d–%d): %w", w, pn.lo, pn.hi, err)
-		}
-		n.panels[w] = shardPanel{lo: pn.lo, hi: pn.hi, base: pn.base, pipe: pipe}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	n.views.New = func() any {
-		return &shardViews{
-			ys:   make([]dense.Matrix, np),
-			outs: make([]sparse.CSR, np),
-		}
-	}
-	return n, nil
 }
 
 // Panels returns the number of row panels.
@@ -279,4 +251,41 @@ func (s *ShardedPipeline) SDDMMIntoCtx(ctx context.Context, out *Matrix, x, y *D
 		yv.Data = y.Data[pn.lo*y.Cols : pn.hi*y.Cols]
 		return pn.pipe.SDDMMIntoCtx(ctx, ov, x, yv)
 	})
+}
+
+// reskin rebuilds the sharded pipeline for a matrix with the *same
+// sparsity structure* but new nonzero values — the value-only mutation
+// path of a live sharded tenant. Panel bounds depend only on row
+// lengths, so they come out unchanged, and every per-panel plan-cache
+// lookup hits on structure: the whole rebuild is an O(nnz) value
+// regather, with no LSH, clustering, or tiling.
+func (s *ShardedPipeline) reskin(ctx context.Context, m *Matrix) (liveBase, error) {
+	return asBase(newShardedPipeline(ctx, m, s.cfg(), s.target))
+}
+
+// rebuild preprocesses m from scratch into new panels at the same
+// target.
+func (s *ShardedPipeline) rebuild(ctx context.Context, m *Matrix, cfg Config, _ *obs.TraceRing, _ *eventSink) (liveBase, error) {
+	return asBase(NewShardedPipelineCtx(ctx, m, cfg, s.target))
+}
+
+// The rest of liveBase: a sharded base builds synchronously with no
+// matrix-wide reorder trial, so it is always settled, never degraded,
+// and serves its own breaker fallback. Its first panel stands for it
+// where one plan is asked for.
+
+func (s *ShardedPipeline) fallback() baseExec         { return s }
+func (s *ShardedPipeline) reordered() bool            { return false }
+func (s *ShardedPipeline) cfg() Config                { return s.panels[0].pipe.plan.Cfg }
+func (s *ShardedPipeline) lead() *Pipeline            { return s.panels[0].pipe }
+func (s *ShardedPipeline) settled() bool              { return true }
+func (s *ShardedPipeline) wait(context.Context) error { return nil }
+func (s *ShardedPipeline) degradedErr() error         { return nil }
+
+func (s *ShardedPipeline) plans() []*Pipeline {
+	ps := make([]*Pipeline, len(s.panels))
+	for i := range s.panels {
+		ps[i] = s.panels[i].pipe
+	}
+	return ps
 }

@@ -705,7 +705,11 @@ func TestServerCoalescedMultiTenantSoak(t *testing.T) {
 			t.Fatalf("no stats for tenant %s", tn.id)
 		}
 		if tt.requests == 0 || tt.successes == 0 {
-			t.Fatalf("tenant %s did no work: %+v", tn.id, tt)
+			t.Fatalf("tenant %s did no work: %+v\n"+
+				"tenant ledger: admitted %d, completed %d, shed %d, expired %d, cancelled %d, coalesce %+v\n"+
+				"gate: %+v",
+				tn.id, tt, ts.Admitted, ts.Completed, ts.Shed, ts.Expired, ts.Cancelled, ts.Coalesce,
+				s.Stats().Admission)
 		}
 		if ts.Failed != 0 {
 			t.Fatalf("tenant %s failed %d requests with no fault source", tn.id, ts.Failed)
